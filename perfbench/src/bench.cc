@@ -2,7 +2,6 @@
 
 #include <sys/resource.h>
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -16,12 +15,18 @@ namespace perfbench {
 
 namespace {
 
+/// Shard set-ups per run; setup_s is their median.
+constexpr size_t kSetupReps = 5;
 /// Warm-up ticks after each set-up: the first sync fills every replica and
 /// the planner and view caches settle. They are part of setup_s.
 constexpr size_t kWarmupTicks = 10;
 /// Ticks run after the forced end-of-run checkpoint, so the recovered image
 /// is a checkpoint plus a WAL tail of this many ticks.
 constexpr size_t kTailTicks = 12;
+/// Recoveries of the end-of-run image: at least kRecoveryReps, and more
+/// until kRecoverySeconds have passed; recovery_ms is their median.
+constexpr size_t kRecoveryReps = 9;
+constexpr double kRecoverySeconds = 3.0;
 
 uint64_t Now() { return gamedb::MonotonicNanos(); }
 
@@ -121,13 +126,15 @@ RunReport RunBenchmark(const RunOptions& opt) {
   };
 
   // --- Set-up, several times ------------------------------------------------
+  // In a traced run set-up 0 is plain and the others have the counting
+  // wrappers, armed (with spans) through their warm-up ticks: equal world
+  // hashes after warm-up show that the wrappers only observe.
   std::vector<double> setup_s, populate_s, login_s, warmup_s;
   std::vector<double> warmup_tick_ms;
   std::unique_ptr<Shard> shard;
-  const size_t reps = std::max<size_t>(1, opt.setup_reps);
-  for (size_t rep = 0; rep < reps; ++rep) {
+  for (size_t rep = 0; rep < kSetupReps; ++rep) {
     shard.reset();
-    const bool wrapped = opt.trace && (rep > 0 || reps == 1);
+    const bool wrapped = opt.trace && rep > 0;
     shard = std::make_unique<Shard>(opt.spec, opt.seed, wrapped,
                                     wrapped ? &rec : nullptr);
     const uint64_t t0 = Now();
@@ -142,7 +149,7 @@ RunReport RunBenchmark(const RunOptions& opt) {
     const uint64_t t2 = Now();
     for (size_t i = 0; i < kWarmupTicks; ++i) {
       TickSample s;
-      run_tick(*shard, false, &s);
+      run_tick(*shard, wrapped, &s);
       warmup_tick_ms.push_back(Ms(s.tick_ns));
     }
     const uint64_t t3 = Now();
@@ -178,7 +185,8 @@ RunReport RunBenchmark(const RunOptions& opt) {
   // Spawn waves are let out first, so every image holds the base population;
   // when the policy checkpoints inside the tail (an urgent event), the image
   // is built again, so every image carries a tail of the same length.
-  for (int attempt = 0; attempt < 8; ++attempt) {
+  constexpr int kImageAttempts = 8;
+  for (int attempt = 0; attempt < kImageAttempts; ++attempt) {
     while (opt.spec.spawn_waves && shard->world().tick() % 8 != 1) {
       TickSample s;
       run_tick(*shard, false, &s);
@@ -191,6 +199,11 @@ RunReport RunBenchmark(const RunOptions& opt) {
       run_tick(*shard, false, &s);
     }
     if (shard->ticks_since_checkpoint() == kTailTicks) break;
+  }
+  if (shard->ticks_since_checkpoint() != kTailTicks) {
+    fail(Format("end-of-run image: no %zu-tick WAL tail without a policy "
+                "checkpoint in %d attempts",
+                kTailTicks, kImageAttempts));
   }
 
   // --- Output checks -------------------------------------------------------
@@ -238,8 +251,8 @@ RunReport RunBenchmark(const RunOptions& opt) {
   std::vector<double> recovery_ms;
   uint64_t replayed = 0;
   const uint64_t recovery_end =
-      Now() + static_cast<uint64_t>(opt.recovery_seconds * 1e9);
-  for (size_t i = 0; i < opt.recovery_reps || Now() < recovery_end; ++i) {
+      Now() + static_cast<uint64_t>(kRecoverySeconds * 1e9);
+  for (size_t i = 0; i < kRecoveryReps || Now() < recovery_end; ++i) {
     gamedb::World recovered;
     const uint64_t t0 = Now();
     auto outcome =

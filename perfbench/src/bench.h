@@ -8,7 +8,9 @@
 /// Untraced runs report the end-to-end metrics. Traced runs alternate
 /// traced and untraced ticks: traced ticks record spans, arm the counting
 /// wrappers and give the per-layer metrics; the untraced ticks in between
-/// give the tracing overhead.
+/// give the tracing overhead. The first set-up of a traced run is plain and
+/// the others run their warm-up ticks traced, so the warm-up world hashes
+/// show that the armed wrappers only observe.
 
 #include <cstdint>
 #include <string>
@@ -29,14 +31,6 @@ struct RunOptions {
   bool trace = false;
   /// Chrome trace_event JSON written at exit by traced runs ("" = none).
   std::string trace_path;
-  /// Shard set-ups per run; setup_s is their median. In a traced run the
-  /// first set-up runs without the counting wrappers and the others with
-  /// them, and their world hashes after warm-up must agree.
-  size_t setup_reps = 5;
-  /// Recoveries of the end-of-run image: at least `recovery_reps`, and
-  /// more until `recovery_seconds` have passed; recovery_ms is the median.
-  size_t recovery_reps = 9;
-  double recovery_seconds = 3.0;
 };
 
 struct Metric {
@@ -48,6 +42,8 @@ struct Metric {
 struct RunReport {
   bool correct = true;
   uint64_t ticks_attempted = 0;
+  /// Ticks that failed (a layer call returned non-OK or a script error
+  /// occurred), plus one for each failed set-up or end-of-run check.
   uint64_t ticks_failed = 0;
   std::vector<std::string> problems;
   /// End-to-end metrics (untraced runs) or per-layer metrics (traced).

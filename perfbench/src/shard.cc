@@ -110,7 +110,7 @@ Shard::~Shard() = default;
 
 Status Shard::Populate() {
   gamedb::RegisterStandardComponents();
-  for (size_t i = 0; i < spec_.npcs; ++i) SpawnNpc();
+  for (size_t i = 0; i < spec_.npcs; ++i) SpawnNpc(DrawNpc());
   planner_.Analyze();
 
   // The two views the behaviour script reads (loadgen's), plus the churn
@@ -211,7 +211,7 @@ Status Shard::Populate() {
 }
 
 void Shard::LoginAll() {
-  while (clients_.size() < spec_.clients) Login();
+  while (clients_.size() < spec_.clients) Login(DrawAvatar());
 }
 
 Shard::Counters Shard::ReadCounters() const {
@@ -246,6 +246,7 @@ Status Shard::Tick(bool traced, TickSample* s) {
   if (rec_ != nullptr) rec_->set_enabled(traced);
   if (hook_ != nullptr) hook_->set_armed(traced);
   PrepareActions();
+  DrawMutations(world_.tick() + 1);
   const Counters before = ReadCounters();
   Status status = Status::OK();
   auto keep = [&status](const Status& st) {
@@ -262,7 +263,7 @@ Status Shard::Tick(bool traced, TickSample* s) {
   uint64_t a = Now();
   const int32_t mutate =
       rec != nullptr ? rec->Open("core.mutate", tick, a) : -1;
-  Step(tick);
+  ApplyMutations();
   uint64_t b = Now();
   if (rec != nullptr) rec->Close(mutate, b);
   s->mutate_ns = b - a;
@@ -474,35 +475,116 @@ void Shard::PrepareActions() {
 
 // --- Workload mutations ------------------------------------------------------
 
-void Shard::Step(uint64_t tick) {
-  JitterPositions(0.20, 10.0f);
-  ChurnHealth(spec_.health_churn);
-  Retarget(0.03);
-  if (spec_.roaming_avatars) RoamAvatars();
+void Shard::DrawMutations(uint64_t tick) {
+  Mutations& m = mutations_;
+  m.moves.clear();
+  m.hp.clear();
+  m.targets.clear();
+  m.spawns.clear();
+  m.despawns = 0;
+  m.logout_from = -1;
+  m.logins.clear();
+
+  // Loadgen's steady_state NPC mix: 20% jitter, hp churn, 3% retarget.
+  constexpr float kJitter = 10.0f;
+  for (EntityId e : npcs_) {
+    if (!world_.Alive(e) || !rng_.NextBool(0.20)) continue;
+    Vec3 p = world_.Get<gamedb::Position>(e)->value;
+    p.x = std::clamp(p.x + rng_.NextFloat(-kJitter, kJitter), 0.0f, kArena);
+    p.z = std::clamp(p.z + rng_.NextFloat(-kJitter, kJitter), 0.0f, kArena);
+    m.moves.emplace_back(e, p);
+  }
+  for (EntityId e : npcs_) {
+    if (!world_.Alive(e) || !rng_.NextBool(spec_.health_churn)) continue;
+    m.hp.emplace_back(e, rng_.NextFloat(5.0f, 100.0f));
+  }
+  for (EntityId e : npcs_) {
+    if (!world_.Alive(e) || !rng_.NextBool(0.03)) continue;
+    EntityId target = RandomLiveNpc();
+    if (target == e || !target.valid()) continue;
+    m.targets.emplace_back(e, target);
+  }
+  if (spec_.roaming_avatars) {
+    for (Client& c : clients_) {
+      const gamedb::Position* p =
+          c.connected ? world_.Get<gamedb::Position>(c.avatar) : nullptr;
+      if (p == nullptr) continue;
+      const Vec3 d{c.waypoint.x - p->value.x, 0.0f, c.waypoint.z - p->value.z};
+      const float len = std::sqrt(d.x * d.x + d.z * d.z);
+      if (len <= kAvatarStep) {
+        m.moves.emplace_back(c.avatar, c.waypoint);
+        c.waypoint = RandomPoint();
+      } else {
+        m.moves.emplace_back(c.avatar,
+                             Vec3{p->value.x + d.x / len * kAvatarStep,
+                                  p->value.y,
+                                  p->value.z + d.z / len * kAvatarStep});
+      }
+    }
+  }
   if (spec_.spawn_waves) {
     const size_t wave = std::max<size_t>(1, spec_.npcs / 8);
     if (tick % 8 == 2) {
-      for (size_t i = 0; i < wave; ++i) SpawnNpc();
+      for (size_t i = 0; i < wave; ++i) m.spawns.push_back(DrawNpc());
     }
-    if (tick % 8 == 6 && npcs_.size() > spec_.npcs) DespawnNpcs(wave);
+    if (tick % 8 == 6 && npcs_.size() > spec_.npcs) m.despawns += wave;
   }
   // Trickle spawns/despawns and connection churn at loadgen's steady_state
   // rates (a quarter per tick; one client in twenty ticks), on a fixed
   // schedule: the seed picks who and where, never how much load a run gets.
-  if (tick % 4 == 0) SpawnNpc();
-  if (tick % 4 == 2) DespawnNpcs(1);
+  if (tick % 4 == 0) m.spawns.push_back(DrawNpc());
+  if (tick % 4 == 2) m.despawns += 1;
   if (tick % 20 == 10) {
-    LogoutOne();
-    Login();
+    if (!clients_.empty()) {
+      m.logout_from = static_cast<int64_t>(rng_.NextBounded(clients_.size()));
+    }
+    m.logins.push_back(DrawAvatar());
   }
 }
 
-EntityId Shard::SpawnNpc() {
+void Shard::ApplyMutations() {
+  const Mutations& m = mutations_;
+  for (const auto& [e, p] : m.moves) {
+    world_.Patch<gamedb::Position>(e, [&](gamedb::Position& v) { v.value = p; });
+  }
+  for (const auto& [e, hp] : m.hp) {
+    world_.Patch<gamedb::Health>(e, [&](gamedb::Health& h) { h.hp = hp; });
+  }
+  for (const auto& [e, target] : m.targets) {
+    world_.Patch<gamedb::Combat>(e,
+                                 [&](gamedb::Combat& c) { c.target = target; });
+  }
+  for (const NpcDraw& d : m.spawns) SpawnNpc(d);
+  DespawnNpcs(m.despawns);
+  if (m.logout_from >= 0) LogoutFrom(static_cast<size_t>(m.logout_from));
+  for (const AvatarDraw& d : m.logins) Login(d);
+}
+
+Shard::NpcDraw Shard::DrawNpc() {
+  NpcDraw d;
+  d.pos = RandomPoint();
+  d.hp = rng_.NextFloat(40.0f, 100.0f);
+  d.attack = rng_.NextFloat(1.0f, 4.0f);
+  return d;
+}
+
+Shard::AvatarDraw Shard::DrawAvatar() {
+  // Avatars start a full interest radius inside the arena, so with few
+  // stationary clients the seed does not decide how much of each interest
+  // circle the arena edge cuts off.
+  AvatarDraw d;
+  d.start = {rng_.NextFloat(kInterestRadius, kArena - kInterestRadius), 0.0f,
+             rng_.NextFloat(kInterestRadius, kArena - kInterestRadius)};
+  d.waypoint = RandomPoint();
+  return d;
+}
+
+EntityId Shard::SpawnNpc(const NpcDraw& d) {
   EntityId e = world_.Create();
-  world_.Set(e, gamedb::Position{RandomPoint()});
-  world_.Set(e, gamedb::Health{rng_.NextFloat(40.0f, 100.0f), 100.0f});
+  world_.Set(e, gamedb::Position{d.pos});
+  world_.Set(e, gamedb::Health{d.hp, 100.0f});
   gamedb::Combat c;
-  c.attack = rng_.NextFloat(1.0f, 4.0f);
+  c.attack = d.attack;
   c.range = kActionRange;
   world_.Set(e, c);
   world_.Set(e, gamedb::Faction{static_cast<int32_t>(spawns_ % 4)});
@@ -529,62 +611,9 @@ void Shard::DespawnNpcs(size_t n) {
   npcs_.erase(npcs_.begin(), npcs_.begin() + static_cast<ptrdiff_t>(scan));
 }
 
-void Shard::JitterPositions(double fraction, float amplitude) {
-  for (EntityId e : npcs_) {
-    if (!world_.Alive(e) || !rng_.NextBool(fraction)) continue;
-    world_.Patch<gamedb::Position>(e, [&](gamedb::Position& p) {
-      p.value.x = std::clamp(p.value.x + rng_.NextFloat(-amplitude, amplitude),
-                             0.0f, kArena);
-      p.value.z = std::clamp(p.value.z + rng_.NextFloat(-amplitude, amplitude),
-                             0.0f, kArena);
-    });
-  }
-}
-
-void Shard::ChurnHealth(double fraction) {
-  for (EntityId e : npcs_) {
-    if (!world_.Alive(e) || !rng_.NextBool(fraction)) continue;
-    world_.Patch<gamedb::Health>(
-        e, [&](gamedb::Health& h) { h.hp = rng_.NextFloat(5.0f, 100.0f); });
-  }
-}
-
-void Shard::Retarget(double fraction) {
-  for (EntityId e : npcs_) {
-    if (!world_.Alive(e) || !rng_.NextBool(fraction)) continue;
-    EntityId target = RandomLiveNpc();
-    if (target == e || !target.valid()) continue;
-    world_.Patch<gamedb::Combat>(e,
-                                 [&](gamedb::Combat& c) { c.target = target; });
-  }
-}
-
-void Shard::RoamAvatars() {
-  for (Client& c : clients_) {
-    if (!c.connected) continue;
-    world_.Patch<gamedb::Position>(c.avatar, [&](gamedb::Position& p) {
-      Vec3 d{c.waypoint.x - p.value.x, 0.0f, c.waypoint.z - p.value.z};
-      const float len = std::sqrt(d.x * d.x + d.z * d.z);
-      if (len <= kAvatarStep) {
-        p.value = c.waypoint;
-        c.waypoint = RandomPoint();
-        return;
-      }
-      p.value.x += d.x / len * kAvatarStep;
-      p.value.z += d.z / len * kAvatarStep;
-    });
-  }
-}
-
-void Shard::Login() {
+void Shard::Login(const AvatarDraw& d) {
   EntityId avatar = world_.Create();
-  // Avatars start a full interest radius inside the arena, so with few
-  // stationary clients the seed does not decide how much of each interest
-  // circle the arena edge cuts off.
-  const Vec3 start{rng_.NextFloat(kInterestRadius, kArena - kInterestRadius),
-                   0.0f,
-                   rng_.NextFloat(kInterestRadius, kArena - kInterestRadius)};
-  world_.Set(avatar, gamedb::Position{start});
+  world_.Set(avatar, gamedb::Position{d.start});
   world_.Set(avatar, gamedb::Health{100.0f, 100.0f});
   gamedb::Combat c;
   c.attack = 2.0f;
@@ -596,7 +625,7 @@ void Shard::Login() {
   world_.Set(avatar, actor);
   Client client;
   client.avatar = avatar;
-  client.waypoint = RandomPoint();
+  client.waypoint = d.waypoint;
   client.connected = true;
   const uint64_t b = Now();
   client.sync_index = sync_->AddClient(avatar);
@@ -610,10 +639,8 @@ void Shard::Login() {
   }
 }
 
-void Shard::LogoutOne() {
-  if (clients_.empty()) return;
+void Shard::LogoutFrom(size_t start) {
   const size_t n = clients_.size();
-  const size_t start = static_cast<size_t>(rng_.NextBounded(n));
   for (size_t k = 0; k < n; ++k) {
     Client& slot = clients_[(start + k) % n];
     if (!slot.connected) continue;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -179,18 +180,40 @@ class Shard {
   struct Counters;
   Counters ReadCounters() const;
   void PrepareActions();
-  void Step(uint64_t tick);
   const gamedb::views::LiveView* InterestView(size_t client) const;
 
-  // Mutation vocabulary, as in tools/loadgen, applied through World.
-  gamedb::EntityId SpawnNpc();
+  /// The seed's draws for one new NPC or avatar.
+  struct NpcDraw {
+    gamedb::Vec3 pos;
+    float hp = 0.0f;
+    float attack = 0.0f;
+  };
+  struct AvatarDraw {
+    gamedb::Vec3 start;
+    gamedb::Vec3 waypoint;
+  };
+  /// One tick's workload mutations (loadgen's vocabulary), drawn from the
+  /// seed before the tick is timed, so the timed window holds only the World
+  /// and SyncServer calls that apply them.
+  struct Mutations {
+    std::vector<std::pair<gamedb::EntityId, gamedb::Vec3>> moves;
+    std::vector<std::pair<gamedb::EntityId, float>> hp;
+    std::vector<std::pair<gamedb::EntityId, gamedb::EntityId>> targets;
+    std::vector<NpcDraw> spawns;
+    size_t despawns = 0;
+    /// Clients are scanned from here for one to log out; -1 = none.
+    int64_t logout_from = -1;
+    std::vector<AvatarDraw> logins;
+  };
+  void DrawMutations(uint64_t tick);
+  void ApplyMutations();
+
+  NpcDraw DrawNpc();
+  AvatarDraw DrawAvatar();
+  gamedb::EntityId SpawnNpc(const NpcDraw& d);
   void DespawnNpcs(size_t n);
-  void JitterPositions(double fraction, float amplitude);
-  void ChurnHealth(double fraction);
-  void Retarget(double fraction);
-  void RoamAvatars();
-  void Login();
-  void LogoutOne();
+  void Login(const AvatarDraw& d);
+  void LogoutFrom(size_t start);
   gamedb::EntityId RandomLiveNpc();
   gamedb::Vec3 RandomPoint();
 
@@ -221,6 +244,7 @@ class Shard {
   std::vector<Client> clients_;
   std::vector<gamedb::EntityId> npcs_;
   std::vector<gamedb::txn::GameTxn> actions_;
+  Mutations mutations_;
   std::vector<gamedb::replication::SyncStats> sync_stats_;
   TickSample* current_ = nullptr;  ///< sample of the tick in progress
   uint64_t logins_ = 0;

@@ -165,9 +165,6 @@ void TestSmokeRuns() {
     opt.spec = perfbench::Reduced(full, 8);
     opt.seed = 7;
     opt.ticks = 24;
-    opt.setup_reps = 2;
-    opt.recovery_reps = 2;
-    opt.recovery_seconds = 0.0;
     const perfbench::RunReport plain = perfbench::RunBenchmark(opt);
     opt.trace = true;
     const perfbench::RunReport traced = perfbench::RunBenchmark(opt);
@@ -178,7 +175,7 @@ void TestSmokeRuns() {
       CHECK(r->correct);
       CHECK(r->ticks_failed == 0);
       CHECK(r->ticks_attempted >= opt.ticks);
-      CHECK(r->warmup_hashes.size() == 2);
+      CHECK(r->warmup_hashes.size() > 1);
     }
     CHECK(plain.warmup_hashes == traced.warmup_hashes);
     CHECK(plain.final_hash == traced.final_hash);
