@@ -3,7 +3,7 @@
 
 Run from anywhere inside a checkout of the repository:
 
-    python3 perfbench/run.py --workload crowd --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload crowd --seed 1 --seconds 26 --trace 0
     python3 perfbench/run.py --selftest
 
 The first call configures and builds perfbench/ (which compiles the

@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file bench.h
-/// One benchmark run: set a shard up several times, measure steady-state
-/// ticks for a fixed wall time, drive the shard to its end-of-run image,
-/// check every output and reduce the raw per-tick samples to metrics.
+/// One benchmark run: set a shard up several times, take a recovery image,
+/// measure a fixed number of steady-state ticks in blocks with a burst of
+/// timed recoveries after each block, check every output and reduce the raw
+/// samples to metrics.
 ///
 /// Untraced runs report the end-to-end metrics. Traced runs alternate
 /// traced and untraced ticks: traced ticks record spans, arm the counting
@@ -23,7 +24,8 @@ namespace perfbench {
 struct RunOptions {
   WorkloadSpec spec;
   uint64_t seed = 1;
-  /// Steady-state ticks to measure.
+  /// Steady-state ticks to measure, rounded up to whole blocks (at least
+  /// two blocks).
   size_t ticks = 100;
   /// Wall-time cap on the steady state; a run that hits it reports the
   /// ticks it measured.
@@ -43,7 +45,8 @@ struct RunReport {
   bool correct = true;
   uint64_t ticks_attempted = 0;
   /// Ticks that failed (a layer call returned non-OK or a script error
-  /// occurred), plus one for each failed set-up or end-of-run check.
+  /// occurred), plus one for each failed set-up, image, recovery or
+  /// end-of-run check.
   uint64_t ticks_failed = 0;
   std::vector<std::string> problems;
   /// End-to-end metrics (untraced runs) or per-layer metrics (traced).

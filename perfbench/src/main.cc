@@ -7,7 +7,6 @@
 // correct, attempted, failed and metrics. Exits 1 when an output check
 // failed, 2 on a usage error.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,9 +62,8 @@ int main(int argc, char** argv) {
   opt.spec = *spec;
   // The run's work is fixed by --seconds at the workload's reference tick
   // rate; the wall-time cap keeps a much slower build inside the run limit.
-  opt.ticks = std::max<size_t>(
-      40, static_cast<size_t>(seconds * spec->ticks_per_second + 0.5));
-  opt.max_seconds = 3.0 * seconds;
+  opt.ticks = static_cast<size_t>(seconds * spec->ticks_per_second + 0.5);
+  opt.max_seconds = 1.25 * seconds;
 
   const perfbench::RunReport report = perfbench::RunBenchmark(opt);
   for (const std::string& note : report.notes) {

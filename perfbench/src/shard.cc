@@ -33,14 +33,14 @@ std::vector<WorkloadSpec> MakeWorkloads() {
   crowd.npcs = 4000;
   crowd.script_threads = 1;
   crowd.roaming_avatars = true;
-  crowd.ticks_per_second = 20.0;
+  crowd.ticks_per_second = 16.0;
 
   WorkloadSpec horde;
   horde.name = "horde";
   horde.clients = 4;
   horde.npcs = 24000;
   horde.script_threads = 2;
-  horde.ticks_per_second = 18.0;
+  horde.ticks_per_second = 13.0;
 
   WorkloadSpec churn;
   churn.name = "churn";
@@ -51,7 +51,7 @@ std::vector<WorkloadSpec> MakeWorkloads() {
   churn.spawn_waves = true;
   churn.monitoring_views = true;
   churn.txns_per_tick = 512;
-  churn.ticks_per_second = 10.0;
+  churn.ticks_per_second = 7.5;
   return {crowd, horde, churn};
 }
 

@@ -56,9 +56,9 @@ struct WorkloadSpec {
   /// leaves the txn layer idle.
   size_t txns_per_tick = 0;
   /// Steady-state ticks per second of run time: a run of S seconds
-  /// measures S * ticks_per_second ticks, the rate this workload ran at on
-  /// the 4-CPU reference container. Fixing the tick count (not the wall
-  /// time) gives every run of a seed the same work.
+  /// measures S * ticks_per_second ticks, about the rate this workload
+  /// keeps on a 4-CPU host while other tenants slow it down. Fixing the
+  /// tick count (not the wall time) gives every run of a seed the same work.
   double ticks_per_second = 10.0;
 };
 
