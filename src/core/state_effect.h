@@ -65,25 +65,36 @@ class Effect {
   /// Merges all shards and calls fn(EntityId, const V&) once per distinct
   /// target (in first-contribution order), then clears the buffers.
   ///
-  /// The merge scratch (slot map + merged rows) is owned by the Effect and
-  /// reused across calls, so a steady-state per-tick drain performs no
-  /// allocations once capacities are warm. Consequently Drain is not
-  /// reentrant and must run on one thread at a time — which the apply phase
-  /// is by construction.
+  /// The merge scratch (open-addressing slot table + merged rows) is owned
+  /// by the Effect and reused across calls, so a steady-state per-tick
+  /// drain performs no allocations once capacities are warm. Consequently
+  /// Drain is not reentrant and must run on one thread at a time — which
+  /// the apply phase is by construction.
   template <typename Fn>
   void Drain(Fn&& fn) {
     size_t total = contribution_count();
-    drain_slots_.clear();
-    drain_slots_.reserve(total);
+    // Load factor <= 1/2; assign() keeps the capacity of earlier drains.
+    int bits = 4;
+    while ((size_t{1} << bits) < 2 * total) ++bits;
+    drain_table_.assign(size_t{1} << bits, 0);
+    const size_t mask = (size_t{1} << bits) - 1;
     drain_merged_.clear();
     drain_merged_.reserve(total);
     for (auto& shard : shards_) {
       for (auto& [e, v] : shard) {
-        auto [it, inserted] = drain_slots_.try_emplace(e, drain_merged_.size());
-        if (inserted) {
+        // The top bits of the Fibonacci-scrambled id pick the bucket.
+        size_t b = static_cast<size_t>(
+            static_cast<uint64_t>(std::hash<EntityId>()(e)) >> (64 - bits));
+        // Linear probing; a bucket holds 1 + the row's drain_merged_ index.
+        while (drain_table_[b] != 0 &&
+               !(drain_merged_[drain_table_[b] - 1].first == e)) {
+          b = (b + 1) & mask;
+        }
+        if (drain_table_[b] == 0) {
           drain_merged_.emplace_back(e, std::move(v));
+          drain_table_[b] = drain_merged_.size();
         } else {
-          combine_(drain_merged_[it->second].second, v);
+          combine_(drain_merged_[drain_table_[b] - 1].second, v);
         }
       }
       shard.clear();
@@ -104,7 +115,7 @@ class Effect {
   std::vector<std::vector<std::pair<EntityId, V>>> shards_;
   Combine combine_;
   // Reusable Drain scratch (see Drain); kept warm across ticks.
-  std::unordered_map<EntityId, size_t> drain_slots_;
+  std::vector<size_t> drain_table_;
   std::vector<std::pair<EntityId, V>> drain_merged_;
 };
 

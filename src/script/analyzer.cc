@@ -11,6 +11,7 @@
 #include "common/string_util.h"
 #include "core/reflect.h"
 #include "planner/plan.h"
+#include "script/resolve.h"
 
 namespace gamedb::script {
 
@@ -134,107 +135,6 @@ SchemaCatalog ReflectionSchema() {
 }
 
 namespace {
-
-/// How the cost pass prices a world builtin.
-enum class CostClass : uint8_t {
-  kCheap,        ///< O(1) native work
-  kScan,         ///< visits every row of a table (scan + predicate)
-  kSpatial,      ///< spatial probe + candidate visits
-  kViewConst,    ///< O(1) view read
-  kViewMembers,  ///< materializes the view membership snapshot
-};
-
-constexpr int kNoArg = -1;
-
-/// Static signature of a world/view/trigger builtin: its effect bits, its
-/// arity (as enforced at runtime by ExpectArgs), which literal string args
-/// name schema objects, and its cost class. Builtins absent from this table
-/// (math, list ops, random, ...) are effect-free and priced as kCheap.
-struct BuiltinSig {
-  const char* name;
-  uint32_t effects;
-  int arity;  ///< -1: variadic (fire)
-  const char* signature;
-  int comp_arg;     ///< literal arg resolved as a component name
-  int field_arg;    ///< literal arg resolved as a field of comp_arg
-  int view_arg;     ///< literal arg resolved as a LiveView name
-  int channel_arg;  ///< literal arg resolved as an effect channel
-  int event_arg;    ///< literal arg resolved as a trigger event
-  int op_arg;       ///< literal arg holding a comparison operator
-  CostClass cost;
-};
-
-// Keep signature strings identical to the runtime ExpectArgs call sites in
-// bindings.cc / triggers.cc — the static arity diagnostic renders the same
-// text a designer would have hit at runtime.
-const BuiltinSig kBuiltinSigs[] = {
-    {"spawn", kEffectSpawn, 0, "spawn()", kNoArg, kNoArg, kNoArg, kNoArg,
-     kNoArg, kNoArg, CostClass::kCheap},
-    {"destroy", kEffectGatedWrite, 1, "destroy(e)", kNoArg, kNoArg, kNoArg,
-     kNoArg, kNoArg, kNoArg, CostClass::kCheap},
-    {"is_alive", kEffectWorldRead, 1, "is_alive(e)", kNoArg, kNoArg, kNoArg,
-     kNoArg, kNoArg, kNoArg, CostClass::kCheap},
-    {"has", kEffectWorldRead, 2, "has(e, \"Comp\")", 1, kNoArg, kNoArg, kNoArg,
-     kNoArg, kNoArg, CostClass::kCheap},
-    {"add", kEffectGatedWrite, 2, "add(e, \"Comp\")", 1, kNoArg, kNoArg,
-     kNoArg, kNoArg, kNoArg, CostClass::kCheap},
-    {"remove", kEffectGatedWrite, 2, "remove(e, \"Comp\")", 1, kNoArg, kNoArg,
-     kNoArg, kNoArg, kNoArg, CostClass::kCheap},
-    {"get", kEffectWorldRead, 3, "get(e, \"Comp\", \"field\")", 1, 2, kNoArg,
-     kNoArg, kNoArg, kNoArg, CostClass::kCheap},
-    {"set", kEffectGatedWrite, 4, "set(e, \"Comp\", \"field\", v)", 1, 2,
-     kNoArg, kNoArg, kNoArg, kNoArg, CostClass::kCheap},
-    {"entities_with", kEffectWorldRead, 1, "entities_with(\"Comp\")", 0,
-     kNoArg, kNoArg, kNoArg, kNoArg, kNoArg, CostClass::kScan},
-    {"count", kEffectWorldRead, 1, "count(\"Comp\")", 0, kNoArg, kNoArg,
-     kNoArg, kNoArg, kNoArg, CostClass::kScan},
-    {"sum", kEffectWorldRead, 2, "sum(\"Comp\", \"field\")", 0, 1, kNoArg,
-     kNoArg, kNoArg, kNoArg, CostClass::kScan},
-    {"smin", kEffectWorldRead, 2, "smin(\"Comp\", \"field\")", 0, 1, kNoArg,
-     kNoArg, kNoArg, kNoArg, CostClass::kScan},
-    {"smax", kEffectWorldRead, 2, "smax(\"Comp\", \"field\")", 0, 1, kNoArg,
-     kNoArg, kNoArg, kNoArg, CostClass::kScan},
-    {"avg", kEffectWorldRead, 2, "avg(\"Comp\", \"field\")", 0, 1, kNoArg,
-     kNoArg, kNoArg, kNoArg, CostClass::kScan},
-    {"argmin", kEffectWorldRead, 2, "argmin(\"Comp\", \"field\")", 0, 1,
-     kNoArg, kNoArg, kNoArg, kNoArg, CostClass::kScan},
-    {"argmax", kEffectWorldRead, 2, "argmax(\"Comp\", \"field\")", 0, 1,
-     kNoArg, kNoArg, kNoArg, kNoArg, CostClass::kScan},
-    {"where", kEffectWorldRead, 4, "where(\"Comp\", \"field\", \"op\", v)", 0,
-     1, kNoArg, kNoArg, kNoArg, 2, CostClass::kScan},
-    {"within", kEffectWorldRead, 2, "within(center, radius)", kNoArg, kNoArg,
-     kNoArg, kNoArg, kNoArg, kNoArg, CostClass::kSpatial},
-    {"emit", kEffectEmit, 3, "emit(\"channel\", target, amount)", kNoArg,
-     kNoArg, kNoArg, 0, kNoArg, kNoArg, CostClass::kCheap},
-    {"tick", kEffectWorldRead, 0, "tick()", kNoArg, kNoArg, kNoArg, kNoArg,
-     kNoArg, kNoArg, CostClass::kCheap},
-    {"view_count", kEffectViewRead, 1, "view_count(\"name\")", kNoArg, kNoArg,
-     0, kNoArg, kNoArg, kNoArg, CostClass::kViewConst},
-    {"view_contains", kEffectViewRead, 2, "view_contains(\"name\", e)", kNoArg,
-     kNoArg, 0, kNoArg, kNoArg, kNoArg, CostClass::kViewConst},
-    {"view_members", kEffectViewRead, 1, "view_members(\"name\")", kNoArg,
-     kNoArg, 0, kNoArg, kNoArg, kNoArg, CostClass::kViewMembers},
-    {"view_aggregate", kEffectViewRead, 1, "view_aggregate(\"name\")", kNoArg,
-     kNoArg, 0, kNoArg, kNoArg, kNoArg, CostClass::kViewConst},
-    {"fire", kEffectFire, -1, "fire(\"event\", args...)", kNoArg, kNoArg,
-     kNoArg, kNoArg, 0, kNoArg, CostClass::kCheap},
-};
-
-const BuiltinSig* FindSig(const std::string& name) {
-  for (const BuiltinSig& sig : kBuiltinSigs) {
-    if (name == sig.name) return &sig;
-  }
-  return nullptr;
-}
-
-/// Literal string argument at `idx`, or nullptr when the argument is absent
-/// or computed at runtime (only literals are statically checkable).
-const std::string* LiteralStringArg(const Expr& call, size_t idx) {
-  if (idx >= call.args.size()) return nullptr;
-  const Expr& a = *call.args[idx];
-  if (a.kind != ExprKind::kLiteral || !a.literal.IsString()) return nullptr;
-  return &a.literal.AsString();
-}
 
 SourceLoc LocOf(const Expr& e) { return SourceLoc{e.line, e.col}; }
 SourceLoc LocOf(const Stmt& s) { return SourceLoc{s.line, s.col}; }
@@ -375,14 +275,18 @@ class Verifier {
  private:
   // Is `name` a call to a native builtin (not shadowed by a script fn)?
   bool ResolvesToBuiltin(const std::string& name) const {
-    if (script_.functions.count(name)) return false;
-    return !options_.is_builtin || options_.is_builtin(name);
+    return ResolveCallee(
+               name,
+               [this](const std::string& n) {
+                 return script_.functions.count(n) > 0;
+               },
+               options_.is_builtin) == CalleeKind::kBuiltin;
   }
 
   const BuiltinSig* SigFor(const Expr& call) const {
     if (call.kind != ExprKind::kCall) return nullptr;
     if (!ResolvesToBuiltin(call.name)) return nullptr;
-    return FindSig(call.name);
+    return FindBuiltinSig(call.name);
   }
 
   // ---- structure pass --------------------------------------------------
@@ -591,7 +495,7 @@ class Verifier {
 
   void TopLevelPurityExpr(const Expr& e) {
     if (e.kind == ExprKind::kCall) {
-      if (const BuiltinSig* sig = FindSig(e.name);
+      if (const BuiltinSig* sig = FindBuiltinSig(e.name);
           sig != nullptr && ResolvesToBuiltin(e.name) &&
           (sig->effects & kImpure)) {
         sink_->Error(DiagPass::kPhase, LocOf(e),
@@ -721,7 +625,7 @@ class Verifier {
     const bool is_write = (sig.effects & kEffectGatedWrite) != 0;
     const bool is_structural = n == "add" || n == "remove";
     const std::string* comp =
-        LiteralStringArg(call, static_cast<size_t>(sig.comp_arg));
+        LiteralStringArg(call, sig.comp_arg);
     if (comp == nullptr) {
       // Computed component name: ⊤ for this access direction.
       if (is_write) {
@@ -735,7 +639,7 @@ class Verifier {
     std::string key;
     if (sig.field_arg >= 0) {
       const std::string* field =
-          LiteralStringArg(call, static_cast<size_t>(sig.field_arg));
+          LiteralStringArg(call, sig.field_arg);
       key = *comp + "." + (field != nullptr ? *field : "*");
     } else {
       key = *comp + ".*";
@@ -858,78 +762,62 @@ class Verifier {
       return;
     }
 
-    const std::string* comp =
-        sig.comp_arg >= 0
-            ? LiteralStringArg(call, static_cast<size_t>(sig.comp_arg))
-            : nullptr;
+    // The same literal names the interpreter binds at load (resolve.h).
+    const SiteNames names = LiteralNames(call, sig);
+    auto arg_loc = [&call](int idx) {
+      return LocOf(*call.args[static_cast<size_t>(idx)]);
+    };
+    const std::string* comp = names.comp;
     if (comp != nullptr && options_.schema.has_component) {
       if (!options_.schema.has_component(*comp)) {
-        sink_->Error(DiagPass::kBindings,
-                     LocOf(*call.args[static_cast<size_t>(sig.comp_arg)]),
+        sink_->Error(DiagPass::kBindings, arg_loc(sig.comp_arg),
                      "unknown component '" + *comp + "'" +
                          SuggestName(options_.schema.component_names, *comp));
         comp = nullptr;  // field check below would be noise
       }
     }
-    if (comp != nullptr && sig.field_arg >= 0 && options_.schema.has_field) {
-      if (const std::string* field =
-              LiteralStringArg(call, static_cast<size_t>(sig.field_arg))) {
-        if (!options_.schema.has_field(*comp, *field)) {
-          std::string hint =
-              options_.schema.field_names
-                  ? Suggestion(*field, options_.schema.field_names(*comp))
-                  : "";
-          sink_->Error(DiagPass::kBindings,
-                       LocOf(*call.args[static_cast<size_t>(sig.field_arg)]),
-                       "component '" + *comp + "' has no field '" + *field +
-                           "'" + hint);
-        }
+    if (comp != nullptr && names.field != nullptr &&
+        options_.schema.has_field) {
+      const std::string& field = *names.field;
+      if (!options_.schema.has_field(*comp, field)) {
+        std::string hint =
+            options_.schema.field_names
+                ? Suggestion(field, options_.schema.field_names(*comp))
+                : "";
+        sink_->Error(DiagPass::kBindings, arg_loc(sig.field_arg),
+                     "component '" + *comp + "' has no field '" + field +
+                         "'" + hint);
       }
     }
-    if (sig.view_arg >= 0 && options_.schema.has_view) {
-      if (const std::string* view =
-              LiteralStringArg(call, static_cast<size_t>(sig.view_arg))) {
-        if (!options_.schema.has_view(*view)) {
-          sink_->Error(DiagPass::kBindings,
-                       LocOf(*call.args[static_cast<size_t>(sig.view_arg)]),
-                       call.name + ": no view named '" + *view + "'" +
-                           SuggestName(options_.schema.view_names, *view));
-        }
+    if (names.view != nullptr && options_.schema.has_view) {
+      const std::string& view = *names.view;
+      if (!options_.schema.has_view(view)) {
+        sink_->Error(DiagPass::kBindings, arg_loc(sig.view_arg),
+                     call.name + ": no view named '" + view + "'" +
+                         SuggestName(options_.schema.view_names, view));
       }
     }
-    if (sig.channel_arg >= 0 && options_.schema.has_channel) {
-      if (const std::string* channel = LiteralStringArg(
-              call, static_cast<size_t>(sig.channel_arg))) {
-        if (!options_.schema.has_channel(*channel)) {
-          sink_->Warn(
-              DiagPass::kBindings,
-              LocOf(*call.args[static_cast<size_t>(sig.channel_arg)]),
-              "emit() into unwired channel '" + *channel +
-                  "'; contributions to it are buffered but never drained" +
-                  SuggestName(options_.schema.channel_names, *channel));
-        }
+    if (names.channel != nullptr && options_.schema.has_channel) {
+      const std::string& channel = *names.channel;
+      if (!options_.schema.has_channel(channel)) {
+        sink_->Warn(
+            DiagPass::kBindings, arg_loc(sig.channel_arg),
+            "emit() into unwired channel '" + channel +
+                "'; contributions to it are buffered but never drained" +
+                SuggestName(options_.schema.channel_names, channel));
       }
     }
-    if (sig.event_arg >= 0 && options_.schema.has_event) {
-      if (const std::string* event =
-              LiteralStringArg(call, static_cast<size_t>(sig.event_arg))) {
-        if (!options_.schema.has_event(*event)) {
-          sink_->Warn(DiagPass::kBindings,
-                      LocOf(*call.args[static_cast<size_t>(sig.event_arg)]),
-                      "fire(\"" + *event +
-                          "\") has no handler; the event will be dropped");
-        }
+    if (names.event != nullptr && options_.schema.has_event) {
+      const std::string& event = *names.event;
+      if (!options_.schema.has_event(event)) {
+        sink_->Warn(DiagPass::kBindings, arg_loc(sig.event_arg),
+                    "fire(\"" + event +
+                        "\") has no handler; the event will be dropped");
       }
     }
-    if (sig.op_arg >= 0) {
-      if (const std::string* op =
-              LiteralStringArg(call, static_cast<size_t>(sig.op_arg))) {
-        if (!IsCmpOpToken(*op)) {
-          sink_->Error(DiagPass::kBindings,
-                       LocOf(*call.args[static_cast<size_t>(sig.op_arg)]),
-                       "unknown comparison operator '" + *op + "'");
-        }
-      }
+    if (names.op != nullptr && !IsCmpOpToken(*names.op)) {
+      sink_->Error(DiagPass::kBindings, arg_loc(sig.op_arg),
+                   "unknown comparison operator '" + *names.op + "'");
     }
   }
 

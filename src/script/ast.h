@@ -15,6 +15,9 @@
 
 namespace gamedb::script {
 
+/// "No frame slot": the name is a global, looked up by name at run time.
+constexpr uint32_t kNoSlot = ~uint32_t{0};
+
 enum class ExprKind : uint8_t {
   kLiteral,  // literal -> value
   kVar,      // name
@@ -26,6 +29,12 @@ enum class ExprKind : uint8_t {
 
 /// Expression node. `line`/`col` are the 1-based source position of the
 /// token that introduced the node (diagnostics anchor here).
+///
+/// The parser resolves names that depend only on the source:
+///   kVar  — `slot` is the frame slot of the local the name denotes, or
+///           kNoSlot for a global;
+///   kCall — `site` numbers the call site within its Script (0-based), the
+///           index of the slot each interpreter fills at load.
 struct Expr {
   ExprKind kind;
   int line = 0;
@@ -34,6 +43,8 @@ struct Expr {
   std::string name;
   TokenType op = TokenType::kEof;
   std::vector<std::unique_ptr<Expr>> args;
+  uint32_t slot = kNoSlot;
+  uint32_t site = 0;
 };
 
 enum class StmtKind : uint8_t {
@@ -51,6 +62,11 @@ enum class StmtKind : uint8_t {
 };
 
 /// Statement node. `line`/`col` as on Expr.
+///
+/// Frame slots, resolved by the parser: kLet/kForeach bind `name` to
+/// `slot`, kAssign writes `slot` (kNoSlot: a global, by name — a top-level
+/// `let` outside any block declares one). A kFn/kOn declaration's frame
+/// holds `frame_size` slots, its parameters first.
 struct Stmt {
   StmtKind kind;
   int line = 0;
@@ -60,6 +76,8 @@ struct Stmt {
   std::vector<std::unique_ptr<Stmt>> body;
   std::vector<std::unique_ptr<Stmt>> else_body;
   std::vector<std::string> params;
+  uint32_t slot = kNoSlot;
+  uint32_t frame_size = 0;
 };
 
 /// A parsed script: top-level statements (the script's "main"), named
@@ -73,6 +91,10 @@ struct Script {
   std::vector<const Stmt*> handlers;
   /// Owned declaration statements (functions/handlers live here).
   std::vector<std::unique_ptr<Stmt>> decls;
+  /// Number of call sites (Expr::site runs over [0, call_sites)).
+  uint32_t call_sites = 0;
+  /// Frame slots the top-level statements' block locals need.
+  uint32_t frame_size = 0;
 };
 
 /// Node counters used by the analyzer and tests.

@@ -171,14 +171,41 @@ Result<CmpOp> ParseCmpOp(const std::string& op) {
   return Status::InvalidArgument("unknown comparison operator '" + op + "'");
 }
 
-/// Looks up component + field or fails with a script-friendly message.
-Result<const FieldInfo*> ResolveField(const std::string& comp,
-                                      const std::string& field,
-                                      const TypeInfo** info_out) {
+/// The schema name a builtin argument carries: the literal the load step
+/// read off the AST (SiteBinding::names), else the run-time string value.
+Result<const std::string*> NameArg(const std::string* literal, ArgSpan args,
+                                   size_t i, const char* signature) {
+  if (literal != nullptr) return literal;
+  if (i >= args.size() || !args[i].IsString()) {
+    return Status::InvalidArgument(
+        StringFormat("arg %zu must be a string: %s", i + 1, signature));
+  }
+  return &args[i].AsString();
+}
+
+/// The component a site names: bound at load, or looked up by name (a
+/// computed name, or a literal the registry did not know at load).
+Result<const TypeInfo*> SiteComponent(const SiteBinding& site,
+                                      const std::string& comp) {
+  if (site.type != nullptr) return site.type;
   const TypeInfo* info = TypeRegistry::Global().FindByName(comp);
   if (info == nullptr) {
     return Status::NotFound("unknown component '" + comp + "'");
   }
+  return info;
+}
+
+/// Component + field of a get/set site, bound or by name; fails with a
+/// script-friendly message.
+Result<const FieldInfo*> SiteField(const SiteBinding& site,
+                                   const std::string& comp,
+                                   const std::string& field,
+                                   const TypeInfo** info_out) {
+  if (site.field != nullptr) {
+    *info_out = site.type;
+    return site.field;
+  }
+  GAMEDB_ASSIGN_OR_RETURN(const TypeInfo* info, SiteComponent(site, comp));
   const FieldInfo* f = info->FindField(field);
   if (f == nullptr) {
     return Status::NotFound("component '" + comp + "' has no field '" +
@@ -186,6 +213,23 @@ Result<const FieldInfo*> ResolveField(const std::string& comp,
   }
   *info_out = info;
   return f;
+}
+
+/// Load-time binder of the component (and field) sites.
+void BindComponentSite(SiteBinding* site) {
+  if (site->names.comp == nullptr) return;
+  const TypeInfo* info = TypeRegistry::Global().FindByName(*site->names.comp);
+  if (info == nullptr) return;
+  if (site->names.field == nullptr) {
+    site->type = info;
+    return;
+  }
+  // get/set bind the pair or nothing: a half-bound site would skip the
+  // by-name path's error for the unknown field.
+  if (const FieldInfo* f = info->FindField(*site->names.field)) {
+    site->type = info;
+    site->field = f;
+  }
 }
 
 /// Whether FieldInfo::Set would accept this value kind for this field type
@@ -235,7 +279,8 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
 
   interp->RegisterBuiltin(
       "spawn",
-      [world, policy](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      [world, policy](ArgSpan args, SiteBinding&,
+                      Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 0, "spawn()"));
         if (policy != MutationPolicy::kDirect) {
           // Even under kDefer: a fresh entity id cannot be handed to the
@@ -249,7 +294,7 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
       });
   interp->RegisterBuiltin(
       "destroy",
-      [world, policy, deferred, shard](std::vector<Value>& args,
+      [world, policy, deferred, shard](ArgSpan args, SiteBinding&,
                                        Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 1, "destroy(e)"));
         GAMEDB_ASSIGN_OR_RETURN(EntityId e, ArgEntity(args, 0, "destroy(e)"));
@@ -272,42 +317,43 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
       });
   interp->RegisterBuiltin(
       "is_alive",
-      [world](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      [world](ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 1, "is_alive(e)"));
         GAMEDB_ASSIGN_OR_RETURN(EntityId e, ArgEntity(args, 0, "is_alive(e)"));
         return Value(world->Alive(e));
       });
   interp->RegisterBuiltin(
-      "has", [world](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      "has",
+      [world](ArgSpan args, SiteBinding& site,
+              Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 2, "has(e, \"Comp\")"));
         GAMEDB_ASSIGN_OR_RETURN(EntityId e, ArgEntity(args, 0, "has"));
-        GAMEDB_ASSIGN_OR_RETURN(std::string comp, ArgString(args, 1, "has"));
-        const TypeInfo* info = TypeRegistry::Global().FindByName(comp);
-        if (info == nullptr) {
-          return Status::NotFound("unknown component '" + comp + "'");
-        }
+        GAMEDB_ASSIGN_OR_RETURN(const std::string* comp,
+                                NameArg(site.names.comp, args, 1, "has"));
+        GAMEDB_ASSIGN_OR_RETURN(const TypeInfo* info,
+                                SiteComponent(site, *comp));
         // Non-creating lookup: reads must not grow the store map (they run
         // concurrently during the scripted query phase).
         const ComponentStore* store = world->StoreByIdIfExists(info->id());
         return Value(store != nullptr && store->Contains(e));
-      });
+      },
+      BindComponentSite);
   interp->RegisterBuiltin(
       "add",
-      [world, policy, deferred, shard](std::vector<Value>& args,
+      [world, policy, deferred, shard](ArgSpan args, SiteBinding& site,
                                        Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 2, "add(e, \"Comp\")"));
         GAMEDB_ASSIGN_OR_RETURN(EntityId e, ArgEntity(args, 0, "add"));
-        GAMEDB_ASSIGN_OR_RETURN(std::string comp, ArgString(args, 1, "add"));
+        GAMEDB_ASSIGN_OR_RETURN(const std::string* comp,
+                                NameArg(site.names.comp, args, 1, "add"));
         if (policy == MutationPolicy::kReject) {
           return ReadOnlyPhaseError("add()");
         }
         if (!world->Alive(e)) {
           return Status::InvalidArgument("entity is dead");
         }
-        const TypeInfo* info = TypeRegistry::Global().FindByName(comp);
-        if (info == nullptr) {
-          return Status::NotFound("unknown component '" + comp + "'");
-        }
+        GAMEDB_ASSIGN_OR_RETURN(const TypeInfo* info,
+                                SiteComponent(site, *comp));
         if (policy != MutationPolicy::kDirect) {
           // Structural — always deferred, under kDirectChecked too.
           deferred->Push(shard, DeferredOp{DeferredOp::Kind::kAdd, e,
@@ -316,21 +362,21 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
         }
         world->StoreById(info->id())->EmplaceDefault(e);
         return Value::Nil();
-      });
+      },
+      BindComponentSite);
   interp->RegisterBuiltin(
       "remove",
-      [world, policy, deferred, shard](std::vector<Value>& args,
+      [world, policy, deferred, shard](ArgSpan args, SiteBinding& site,
                                        Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 2, "remove(e, \"Comp\")"));
         GAMEDB_ASSIGN_OR_RETURN(EntityId e, ArgEntity(args, 0, "remove"));
-        GAMEDB_ASSIGN_OR_RETURN(std::string comp, ArgString(args, 1, "remove"));
+        GAMEDB_ASSIGN_OR_RETURN(const std::string* comp,
+                                NameArg(site.names.comp, args, 1, "remove"));
         if (policy == MutationPolicy::kReject) {
           return ReadOnlyPhaseError("remove()");
         }
-        const TypeInfo* info = TypeRegistry::Global().FindByName(comp);
-        if (info == nullptr) {
-          return Status::NotFound("unknown component '" + comp + "'");
-        }
+        GAMEDB_ASSIGN_OR_RETURN(const TypeInfo* info,
+                                SiteComponent(site, *comp));
         if (policy != MutationPolicy::kDirect) {
           deferred->Push(shard, DeferredOp{DeferredOp::Kind::kRemove, e,
                                            info->id(), nullptr, FieldValue()});
@@ -341,41 +387,49 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
         }
         ComponentStore* store = world->StoreById(info->id());
         return Value(store->Erase(e));
-      });
+      },
+      BindComponentSite);
 
   interp->RegisterBuiltin(
-      "get", [world](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      "get",
+      [world](ArgSpan args, SiteBinding& site,
+              Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 3, "get(e, \"Comp\", \"field\")"));
         GAMEDB_ASSIGN_OR_RETURN(EntityId e, ArgEntity(args, 0, "get"));
-        GAMEDB_ASSIGN_OR_RETURN(std::string comp, ArgString(args, 1, "get"));
-        GAMEDB_ASSIGN_OR_RETURN(std::string field, ArgString(args, 2, "get"));
+        GAMEDB_ASSIGN_OR_RETURN(const std::string* comp,
+                                NameArg(site.names.comp, args, 1, "get"));
+        GAMEDB_ASSIGN_OR_RETURN(const std::string* field,
+                                NameArg(site.names.field, args, 2, "get"));
         const TypeInfo* info = nullptr;
         GAMEDB_ASSIGN_OR_RETURN(const FieldInfo* f,
-                                ResolveField(comp, field, &info));
+                                SiteField(site, *comp, *field, &info));
         // Non-creating lookup (see `has`): a missing table reads the same
         // as an entity without the component.
         const ComponentStore* store = world->StoreByIdIfExists(info->id());
         const void* c = store == nullptr ? nullptr : store->Find(e);
         if (c == nullptr) {
-          return Status::NotFound("entity has no '" + comp + "'");
+          return Status::NotFound("entity has no '" + *comp + "'");
         }
         return FromFieldValue(f->Get(c));
-      });
+      },
+      BindComponentSite);
   interp->RegisterBuiltin(
       "set",
-      [world, policy, deferred, shard, gate](std::vector<Value>& args,
+      [world, policy, deferred, shard, gate](ArgSpan args, SiteBinding& site,
                                              Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(
             ExpectArgs(args, 4, "set(e, \"Comp\", \"field\", v)"));
         GAMEDB_ASSIGN_OR_RETURN(EntityId e, ArgEntity(args, 0, "set"));
-        GAMEDB_ASSIGN_OR_RETURN(std::string comp, ArgString(args, 1, "set"));
-        GAMEDB_ASSIGN_OR_RETURN(std::string field, ArgString(args, 2, "set"));
+        GAMEDB_ASSIGN_OR_RETURN(const std::string* comp,
+                                NameArg(site.names.comp, args, 1, "set"));
+        GAMEDB_ASSIGN_OR_RETURN(const std::string* field,
+                                NameArg(site.names.field, args, 2, "set"));
         if (policy == MutationPolicy::kReject) {
           return ReadOnlyPhaseError("set()");
         }
         const TypeInfo* info = nullptr;
         GAMEDB_ASSIGN_OR_RETURN(const FieldInfo* f,
-                                ResolveField(comp, field, &info));
+                                SiteField(site, *comp, *field, &info));
         GAMEDB_ASSIGN_OR_RETURN(FieldValue fv, ToFieldValue(args[3]));
         if (policy != MutationPolicy::kDirect) {
           // Validate against tick-start state so the script fails at the
@@ -384,12 +438,12 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
           // threads (ScriptHost::PrewarmStores pre-created the tables).
           ComponentStore* store = world->StoreByIdIfExists(info->id());
           if (store == nullptr || !store->Contains(e)) {
-            return Status::NotFound("entity has no '" + comp + "'");
+            return Status::NotFound("entity has no '" + *comp + "'");
           }
           if (!ConvertibleTo(f->type(), fv)) {
             return Status::InvalidArgument(
                 "cannot store " + FieldValueToString(fv) + " in field '" +
-                field + "' of '" + comp + "'");
+                *field + "' of '" + *comp + "'");
           }
           if (policy == MutationPolicy::kDirectChecked && gate != nullptr &&
               gate->enabled) {
@@ -425,15 +479,16 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
           set_status = f->Set(c, fv);
         });
         if (!found) {
-          return Status::NotFound("entity has no '" + comp + "'");
+          return Status::NotFound("entity has no '" + *comp + "'");
         }
         GAMEDB_RETURN_NOT_OK(set_status);
         return Value::Nil();
-      });
+      },
+      BindComponentSite);
 
   interp->RegisterBuiltin(
       "entities_with",
-      [world, planner](std::vector<Value>& args,
+      [world, planner](ArgSpan args, SiteBinding&,
                        Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 1, "entities_with(\"Comp\")"));
         GAMEDB_ASSIGN_OR_RETURN(std::string comp,
@@ -449,7 +504,7 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
 
   interp->RegisterBuiltin(
       "count",
-      [world, planner](std::vector<Value>& args,
+      [world, planner](ArgSpan args, SiteBinding&,
                        Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 1, "count(\"Comp\")"));
         GAMEDB_ASSIGN_OR_RETURN(std::string comp, ArgString(args, 0, "count"));
@@ -462,9 +517,9 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
   auto aggregate = [world, interp, planner](const char* name, int which) {
     interp->RegisterBuiltin(
         name,
-        [world, which, name, planner](std::vector<Value>& args,
-                                      Interpreter&) -> Result<Value> {
-          std::string sig = std::string(name) + "(\"Comp\", \"field\")";
+        [world, which, planner,
+         sig = std::string(name) + "(\"Comp\", \"field\")"](
+            ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
           GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 2, sig.c_str()));
           GAMEDB_ASSIGN_OR_RETURN(std::string comp,
                                   ArgString(args, 0, sig.c_str()));
@@ -494,9 +549,9 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
   auto arg_extreme = [world, interp, planner](const char* name, bool is_min) {
     interp->RegisterBuiltin(
         name,
-        [world, is_min, name, planner](std::vector<Value>& args,
-                                       Interpreter&) -> Result<Value> {
-          std::string sig = std::string(name) + "(\"Comp\", \"field\")";
+        [world, is_min, planner,
+         sig = std::string(name) + "(\"Comp\", \"field\")"](
+            ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
           GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 2, sig.c_str()));
           GAMEDB_ASSIGN_OR_RETURN(std::string comp,
                                   ArgString(args, 0, sig.c_str()));
@@ -518,7 +573,7 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
 
   interp->RegisterBuiltin(
       "where",
-      [world, planner](std::vector<Value>& args,
+      [world, planner](ArgSpan args, SiteBinding&,
                        Interpreter&) -> Result<Value> {
         const char* sig = "where(\"Comp\", \"field\", \"op\", v)";
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 4, sig));
@@ -538,7 +593,7 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
 
   interp->RegisterBuiltin(
       "within",
-      [world, planner](std::vector<Value>& args,
+      [world, planner](ArgSpan args, SiteBinding&,
                        Interpreter&) -> Result<Value> {
         const char* sig = "within(center, radius)";
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 2, sig));
@@ -556,22 +611,33 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
 
   interp->RegisterBuiltin(
       "emit",
-      [effects, shard](std::vector<Value>& args,
+      [effects, shard](ArgSpan args, SiteBinding& site,
                        Interpreter&) -> Result<Value> {
         const char* sig = "emit(\"channel\", target, amount)";
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 3, sig));
         if (effects == nullptr) {
           return Status::NotSupported("this host has no effect channels");
         }
-        GAMEDB_ASSIGN_OR_RETURN(std::string channel, ArgString(args, 0, sig));
+        GAMEDB_ASSIGN_OR_RETURN(const std::string* channel,
+                                NameArg(site.names.channel, args, 0, sig));
         GAMEDB_ASSIGN_OR_RETURN(EntityId target, ArgEntity(args, 1, sig));
         GAMEDB_ASSIGN_OR_RETURN(double amount, ArgNumber(args, 2, sig));
-        effects->Channel(channel).Contribute(shard, target, amount);
+        // A bound site skips ScriptEffects' locked channel lookup.
+        Effect<double>& effect = site.channel != nullptr
+                                     ? *site.channel
+                                     : effects->Channel(*channel);
+        effect.Contribute(shard, target, amount);
         return Value::Nil();
+      },
+      [effects](SiteBinding* site) {
+        if (effects != nullptr && site->names.channel != nullptr) {
+          site->channel = &effects->Channel(*site->names.channel);
+        }
       });
 
   interp->RegisterBuiltin(
-      "tick", [world](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      "tick",
+      [world](ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 0, "tick()"));
         return Value(static_cast<double>(world->tick()));
       });
@@ -586,10 +652,24 @@ void BindWorld(Interpreter* interp, World* world, ScriptEffects* effects,
 
 namespace {
 
-Result<const views::LiveView*> FindView(views::ViewCatalog* catalog,
+/// The view a view_* site names. A literal is bound at load and re-bound
+/// whenever the catalog's generation moved since (a view registered or
+/// unregistered), so an unregistered view reads as NotFound, never as a
+/// dangling pointer; a computed name is looked up per call.
+Result<const views::LiveView*> SiteView(views::ViewCatalog* catalog,
+                                        SiteBinding& site,
                                         const std::string& name,
                                         const char* builtin) {
-  const views::LiveView* view = catalog->Find(name);
+  const views::LiveView* view = nullptr;
+  if (site.names.view != nullptr) {
+    if (site.view_generation != catalog->generation()) {
+      site.view = catalog->Find(name);
+      site.view_generation = catalog->generation();
+    }
+    view = site.view;
+  } else {
+    view = catalog->Find(name);
+  }
   if (view == nullptr) {
     return Status::NotFound(std::string(builtin) + ": no view named '" +
                             name + "'");
@@ -600,58 +680,78 @@ Result<const views::LiveView*> FindView(views::ViewCatalog* catalog,
 }  // namespace
 
 void BindViews(Interpreter* interp, views::ViewCatalog* catalog) {
+  auto bind = [catalog](SiteBinding* site) {
+    if (site->names.view == nullptr) return;
+    site->view = catalog->Find(*site->names.view);
+    site->view_generation = catalog->generation();
+  };
   interp->RegisterBuiltin(
       "view_count",
-      [catalog](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      [catalog](ArgSpan args, SiteBinding& site,
+                Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 1, "view_count(\"name\")"));
-        GAMEDB_ASSIGN_OR_RETURN(std::string name,
-                                ArgString(args, 0, "view_count"));
+        GAMEDB_ASSIGN_OR_RETURN(
+            const std::string* name,
+            NameArg(site.names.view, args, 0, "view_count"));
         GAMEDB_ASSIGN_OR_RETURN(const views::LiveView* view,
-                                FindView(catalog, name, "view_count"));
+                                SiteView(catalog, site, *name, "view_count"));
         return Value(static_cast<double>(view->size()));
-      });
+      },
+      bind);
 
   interp->RegisterBuiltin(
       "view_contains",
-      [catalog](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      [catalog](ArgSpan args, SiteBinding& site,
+                Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(
             ExpectArgs(args, 2, "view_contains(\"name\", e)"));
-        GAMEDB_ASSIGN_OR_RETURN(std::string name,
-                                ArgString(args, 0, "view_contains"));
+        GAMEDB_ASSIGN_OR_RETURN(
+            const std::string* name,
+            NameArg(site.names.view, args, 0, "view_contains"));
         GAMEDB_ASSIGN_OR_RETURN(EntityId e,
                                 ArgEntity(args, 1, "view_contains"));
-        GAMEDB_ASSIGN_OR_RETURN(const views::LiveView* view,
-                                FindView(catalog, name, "view_contains"));
+        GAMEDB_ASSIGN_OR_RETURN(
+            const views::LiveView* view,
+            SiteView(catalog, site, *name, "view_contains"));
         return Value(view->Contains(e));
-      });
+      },
+      bind);
 
   interp->RegisterBuiltin(
       "view_members",
-      [catalog](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      [catalog](ArgSpan args, SiteBinding& site,
+                Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 1, "view_members(\"name\")"));
-        GAMEDB_ASSIGN_OR_RETURN(std::string name,
-                                ArgString(args, 0, "view_members"));
-        GAMEDB_ASSIGN_OR_RETURN(const views::LiveView* view,
-                                FindView(catalog, name, "view_members"));
+        GAMEDB_ASSIGN_OR_RETURN(
+            const std::string* name,
+            NameArg(site.names.view, args, 0, "view_members"));
+        GAMEDB_ASSIGN_OR_RETURN(
+            const views::LiveView* view,
+            SiteView(catalog, site, *name, "view_members"));
         const std::vector<EntityId>& members = view->Members();
         std::vector<Value> items;
         items.reserve(members.size());
         for (EntityId e : members) items.push_back(Value(e));
         return Value::NewList(std::move(items));
-      });
+      },
+      bind);
 
   interp->RegisterBuiltin(
       "view_aggregate",
-      [catalog](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      [catalog](ArgSpan args, SiteBinding& site,
+                Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(
             ExpectArgs(args, 1, "view_aggregate(\"name\")"));
-        GAMEDB_ASSIGN_OR_RETURN(std::string name,
-                                ArgString(args, 0, "view_aggregate"));
-        GAMEDB_ASSIGN_OR_RETURN(const views::LiveView* view,
-                                FindView(catalog, name, "view_aggregate"));
+        GAMEDB_ASSIGN_OR_RETURN(
+            const std::string* name,
+            NameArg(site.names.view, args, 0, "view_aggregate"));
+        GAMEDB_ASSIGN_OR_RETURN(
+            const views::LiveView* view,
+            SiteView(catalog, site, *name, "view_aggregate"));
         GAMEDB_ASSIGN_OR_RETURN(double v, view->Aggregate());
         return Value(v);
-      });
+      },
+      bind);
 }
 
 }  // namespace gamedb::script

@@ -7,7 +7,7 @@
 
 namespace gamedb::script {
 
-Status ExpectArgs(const std::vector<Value>& args, size_t n,
+Status ExpectArgs(ArgSpan args, size_t n,
                   const char* signature) {
   if (args.size() != n) {
     return Status::InvalidArgument(
@@ -16,7 +16,7 @@ Status ExpectArgs(const std::vector<Value>& args, size_t n,
   return Status::OK();
 }
 
-Result<double> ArgNumber(const std::vector<Value>& args, size_t i,
+Result<double> ArgNumber(ArgSpan args, size_t i,
                          const char* signature) {
   if (i >= args.size() || !args[i].IsNumber()) {
     return Status::InvalidArgument(
@@ -25,7 +25,7 @@ Result<double> ArgNumber(const std::vector<Value>& args, size_t i,
   return args[i].AsNumber();
 }
 
-Result<EntityId> ArgEntity(const std::vector<Value>& args, size_t i,
+Result<EntityId> ArgEntity(ArgSpan args, size_t i,
                            const char* signature) {
   if (i >= args.size() || !args[i].IsEntity()) {
     return Status::InvalidArgument(
@@ -34,7 +34,7 @@ Result<EntityId> ArgEntity(const std::vector<Value>& args, size_t i,
   return args[i].AsEntity();
 }
 
-Result<std::string> ArgString(const std::vector<Value>& args, size_t i,
+Result<std::string> ArgString(ArgSpan args, size_t i,
                               const char* signature) {
   if (i >= args.size() || !args[i].IsString()) {
     return Status::InvalidArgument(
@@ -43,7 +43,7 @@ Result<std::string> ArgString(const std::vector<Value>& args, size_t i,
   return args[i].AsString();
 }
 
-Result<Vec3> ArgVec3(const std::vector<Value>& args, size_t i,
+Result<Vec3> ArgVec3(ArgSpan args, size_t i,
                      const char* signature) {
   if (i >= args.size() || !args[i].IsVec3()) {
     return Status::InvalidArgument(
@@ -52,7 +52,7 @@ Result<Vec3> ArgVec3(const std::vector<Value>& args, size_t i,
   return args[i].AsVec3();
 }
 
-Result<ValueList> ArgList(const std::vector<Value>& args, size_t i,
+Result<ValueList> ArgList(ArgSpan args, size_t i,
                           const char* signature) {
   if (i >= args.size() || !args[i].IsList()) {
     return Status::InvalidArgument(
@@ -63,7 +63,8 @@ Result<ValueList> ArgList(const std::vector<Value>& args, size_t i,
 
 void RegisterCoreBuiltins(Interpreter* interp) {
   interp->RegisterBuiltin(
-      "print", [](std::vector<Value>& args, Interpreter& in) -> Result<Value> {
+      "print",
+      [](ArgSpan args, SiteBinding&, Interpreter& in) -> Result<Value> {
         std::string line;
         for (size_t i = 0; i < args.size(); ++i) {
           if (i > 0) line += " ";
@@ -74,7 +75,7 @@ void RegisterCoreBuiltins(Interpreter* interp) {
       });
 
   interp->RegisterBuiltin(
-      "str", [](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      "str", [](ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 1, "str(v)"));
         return Value(args[0].ToString());
       });
@@ -82,7 +83,7 @@ void RegisterCoreBuiltins(Interpreter* interp) {
   auto unary_math = [interp](const char* name, double (*fn)(double)) {
     std::string sig = std::string(name) + "(x)";
     interp->RegisterBuiltin(
-        name, [fn, sig](std::vector<Value>& args,
+        name, [fn, sig](ArgSpan args, SiteBinding&,
                         Interpreter&) -> Result<Value> {
           GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 1, sig.c_str()));
           GAMEDB_ASSIGN_OR_RETURN(double x, ArgNumber(args, 0, sig.c_str()));
@@ -95,21 +96,21 @@ void RegisterCoreBuiltins(Interpreter* interp) {
   unary_math("sqrt", [](double x) { return std::sqrt(x); });
 
   interp->RegisterBuiltin(
-      "min", [](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      "min", [](ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 2, "min(a, b)"));
         GAMEDB_ASSIGN_OR_RETURN(double a, ArgNumber(args, 0, "min(a, b)"));
         GAMEDB_ASSIGN_OR_RETURN(double b, ArgNumber(args, 1, "min(a, b)"));
         return Value(std::min(a, b));
       });
   interp->RegisterBuiltin(
-      "max", [](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      "max", [](ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 2, "max(a, b)"));
         GAMEDB_ASSIGN_OR_RETURN(double a, ArgNumber(args, 0, "max(a, b)"));
         GAMEDB_ASSIGN_OR_RETURN(double b, ArgNumber(args, 1, "max(a, b)"));
         return Value(std::max(a, b));
       });
   interp->RegisterBuiltin(
-      "clamp", [](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      "clamp", [](ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 3, "clamp(x, lo, hi)"));
         GAMEDB_ASSIGN_OR_RETURN(double x, ArgNumber(args, 0, "clamp"));
         GAMEDB_ASSIGN_OR_RETURN(double lo, ArgNumber(args, 1, "clamp"));
@@ -118,7 +119,7 @@ void RegisterCoreBuiltins(Interpreter* interp) {
       });
 
   interp->RegisterBuiltin(
-      "vec3", [](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      "vec3", [](ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 3, "vec3(x, y, z)"));
         GAMEDB_ASSIGN_OR_RETURN(double x, ArgNumber(args, 0, "vec3"));
         GAMEDB_ASSIGN_OR_RETURN(double y, ArgNumber(args, 1, "vec3"));
@@ -128,7 +129,8 @@ void RegisterCoreBuiltins(Interpreter* interp) {
       });
   auto vec_component = [interp](const char* name, int axis) {
     interp->RegisterBuiltin(
-        name, [axis](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+        name,
+        [axis](ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
           GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 1, "vx/vy/vz(v)"));
           GAMEDB_ASSIGN_OR_RETURN(Vec3 v, ArgVec3(args, 0, "vx/vy/vz(v)"));
           return Value(static_cast<double>(axis == 0 ? v.x
@@ -140,34 +142,35 @@ void RegisterCoreBuiltins(Interpreter* interp) {
   vec_component("vy", 1);
   vec_component("vz", 2);
   interp->RegisterBuiltin(
-      "distance", [](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      "distance",
+      [](ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 2, "distance(a, b)"));
         GAMEDB_ASSIGN_OR_RETURN(Vec3 a, ArgVec3(args, 0, "distance(a, b)"));
         GAMEDB_ASSIGN_OR_RETURN(Vec3 b, ArgVec3(args, 1, "distance(a, b)"));
         return Value(static_cast<double>(a.DistanceTo(b)));
       });
   interp->RegisterBuiltin(
-      "length", [](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      "length", [](ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 1, "length(v)"));
         GAMEDB_ASSIGN_OR_RETURN(Vec3 v, ArgVec3(args, 0, "length(v)"));
         return Value(static_cast<double>(v.Length()));
       });
 
   interp->RegisterBuiltin(
-      "len", [](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      "len", [](ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 1, "len(list)"));
         GAMEDB_ASSIGN_OR_RETURN(ValueList l, ArgList(args, 0, "len(list)"));
         return Value(static_cast<double>(l->size()));
       });
   interp->RegisterBuiltin(
-      "push", [](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      "push", [](ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 2, "push(list, v)"));
         GAMEDB_ASSIGN_OR_RETURN(ValueList l, ArgList(args, 0, "push(list, v)"));
         l->push_back(args[1]);
         return args[0];
       });
   interp->RegisterBuiltin(
-      "at", [](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      "at", [](ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 2, "at(list, i)"));
         GAMEDB_ASSIGN_OR_RETURN(ValueList l, ArgList(args, 0, "at(list, i)"));
         GAMEDB_ASSIGN_OR_RETURN(double di, ArgNumber(args, 1, "at(list, i)"));
@@ -180,7 +183,7 @@ void RegisterCoreBuiltins(Interpreter* interp) {
         return (*l)[static_cast<size_t>(i)];
       });
   interp->RegisterBuiltin(
-      "set_at", [](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      "set_at", [](ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 3, "set_at(list, i, v)"));
         GAMEDB_ASSIGN_OR_RETURN(ValueList l, ArgList(args, 0, "set_at"));
         GAMEDB_ASSIGN_OR_RETURN(double di, ArgNumber(args, 1, "set_at"));
@@ -192,7 +195,7 @@ void RegisterCoreBuiltins(Interpreter* interp) {
         return args[0];
       });
   interp->RegisterBuiltin(
-      "range", [](std::vector<Value>& args, Interpreter&) -> Result<Value> {
+      "range", [](ArgSpan args, SiteBinding&, Interpreter&) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 1, "range(n)"));
         GAMEDB_ASSIGN_OR_RETURN(double dn, ArgNumber(args, 0, "range(n)"));
         auto n = static_cast<int64_t>(dn);
@@ -208,13 +211,14 @@ void RegisterCoreBuiltins(Interpreter* interp) {
       });
 
   interp->RegisterBuiltin(
-      "random", [](std::vector<Value>& args, Interpreter& in) -> Result<Value> {
+      "random",
+      [](ArgSpan args, SiteBinding&, Interpreter& in) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 0, "random()"));
         return Value(in.rng().NextDouble());
       });
   interp->RegisterBuiltin(
       "random_int",
-      [](std::vector<Value>& args, Interpreter& in) -> Result<Value> {
+      [](ArgSpan args, SiteBinding&, Interpreter& in) -> Result<Value> {
         GAMEDB_RETURN_NOT_OK(ExpectArgs(args, 2, "random_int(lo, hi)"));
         GAMEDB_ASSIGN_OR_RETURN(double lo, ArgNumber(args, 0, "random_int"));
         GAMEDB_ASSIGN_OR_RETURN(double hi, ArgNumber(args, 1, "random_int"));

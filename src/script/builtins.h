@@ -19,17 +19,17 @@ namespace gamedb::script {
 void RegisterCoreBuiltins(Interpreter* interp);
 
 /// Argument-checking helpers shared by builtin implementations.
-Status ExpectArgs(const std::vector<Value>& args, size_t n,
+Status ExpectArgs(ArgSpan args, size_t n,
                   const char* signature);
-Result<double> ArgNumber(const std::vector<Value>& args, size_t i,
+Result<double> ArgNumber(ArgSpan args, size_t i,
                          const char* signature);
-Result<EntityId> ArgEntity(const std::vector<Value>& args, size_t i,
+Result<EntityId> ArgEntity(ArgSpan args, size_t i,
                            const char* signature);
-Result<std::string> ArgString(const std::vector<Value>& args, size_t i,
+Result<std::string> ArgString(ArgSpan args, size_t i,
                               const char* signature);
-Result<Vec3> ArgVec3(const std::vector<Value>& args, size_t i,
+Result<Vec3> ArgVec3(ArgSpan args, size_t i,
                      const char* signature);
-Result<ValueList> ArgList(const std::vector<Value>& args, size_t i,
+Result<ValueList> ArgList(ArgSpan args, size_t i,
                           const char* signature);
 
 }  // namespace gamedb::script

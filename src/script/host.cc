@@ -14,19 +14,21 @@ namespace gamedb::script {
 
 namespace {
 
+/// Stable metric-name bucket for a kDirectChecked fallback reason (the
+/// reason strings carry entry/table names; registry counters must not).
+/// Indexes ScriptHost's cached `script.fallback.*` counters.
+size_t FallbackCategory(const std::string& reason) {
+  if (reason.rfind("no access summary", 0) == 0) return 0;
+  if (reason.find("change observers") != std::string::npos) return 1;
+  return 2;
+}
+constexpr const char* kFallbackCounterNames[] = {
+    "script.fallback.no_access_summary", "script.fallback.observers",
+    "script.fallback.ineligible"};
+
 /// Seed for one entity's random() stream this tick. SplitMix64-style mixing
 /// of (base, tick, entity) — Rng::Seed expands it further, we only need the
 /// three inputs to land in distinct, well-separated states.
-/// Stable metric-name bucket for a kDirectChecked fallback reason (the
-/// reason strings carry entry/table names; registry counters must not).
-const char* FallbackCategory(const std::string& reason) {
-  if (reason.rfind("no access summary", 0) == 0) return "no_access_summary";
-  if (reason.find("change observers") != std::string::npos) {
-    return "observers";
-  }
-  return "ineligible";
-}
-
 uint64_t PerEntitySeed(uint64_t base, uint64_t tick, EntityId e) {
   uint64_t x = base;
   x ^= tick * 0x9E3779B97F4A7C15ull;
@@ -228,16 +230,32 @@ Status ScriptHost::Load(std::string_view source, std::string_view origin) {
           }
           std::string comp = key.substr(0, key.find('.'));
           bool seen = false;
-          for (const std::string& c : verdict.written_components) {
-            seen = seen || c == comp;
+          for (const WrittenTable& t : verdict.written_tables) {
+            seen = seen || t.name == comp;
           }
-          if (!seen) verdict.written_components.push_back(std::move(comp));
+          if (!seen) {
+            const TypeInfo* info = TypeRegistry::Global().FindByName(comp);
+            verdict.written_tables.push_back(
+                WrittenTable{std::move(comp), info});
+          }
         }
       }
       direct_eligible_[entry.name] = std::move(verdict);
     }
   }
   return Status::OK();
+}
+
+telemetry::Counter* ScriptHost::FallbackCounter(const std::string& reason) {
+  // Resolved on first use, not at construction: an instrument exists in the
+  // registry (and its snapshots) only once a tick of its kind happened.
+  telemetry::Counter*& counter =
+      instruments_.fallback[FallbackCategory(reason)];
+  if (counter == nullptr) {
+    counter = options_.telemetry.metrics->GetCounter(
+        kFallbackCounterNames[FallbackCategory(reason)]);
+  }
+  return counter;
 }
 
 std::pair<bool, std::string> ScriptHost::DirectVerdict(
@@ -252,6 +270,9 @@ std::pair<bool, std::string> ScriptHost::DirectVerdict(
 
 void ScriptHost::OnChannel(std::string name,
                            std::function<void(EntityId, double)> apply) {
+  // Create the channel now, at a sequential point: emit() sites with a
+  // computed name then take only ScriptEffects' shared-lock lookup.
+  effects_.Channel(name);
   channels_.emplace_back(std::move(name), std::move(apply));
 }
 
@@ -297,14 +318,14 @@ Result<ScriptTickStats> ScriptHost::RunTick(
       stats.fallback_reason = it->second.reason;
     } else {
       direct = true;
-      for (const std::string& comp : it->second.written_components) {
-        const TypeInfo* info = TypeRegistry::Global().FindByName(comp);
+      for (const WrittenTable& table : it->second.written_tables) {
         ComponentStore* store =
-            info == nullptr ? nullptr : world_->StoreByIdIfExists(info->id());
+            table.info == nullptr ? nullptr
+                                  : world_->StoreByIdIfExists(table.info->id());
         if (store != nullptr && store->observer_count() > 0) {
           direct = false;
           stats.fallback_reason =
-              "table '" + comp +
+              "table '" + table.name +
               "' has change observers (Touch replay cannot carry old values)";
           break;
         }
@@ -320,10 +341,7 @@ Result<ScriptTickStats> ScriptHost::RunTick(
       ++stats.fallback_reasons[stats.fallback_reason];
       ++fallback_reason_counts_[stats.fallback_reason];
       if (options_.telemetry.metrics != nullptr) {
-        options_.telemetry.metrics
-            ->GetCounter(std::string("script.fallback.") +
-                         FallbackCategory(stats.fallback_reason))
-            ->Increment();
+        FallbackCounter(stats.fallback_reason)->Increment();
       }
     }
   }
@@ -352,12 +370,6 @@ Result<ScriptTickStats> ScriptHost::RunTick(
       tracer->RecordSpan("views.maintain", t0, stats.maintain_ns, 0);
     }
   }
-  // Pre-create the wired channels so steady-state emits take only the
-  // shared-lock path in ScriptEffects::Channel.
-  for (const auto& [name, apply] : channels_) {
-    effects_.Channel(name);
-  }
-
   stats.entities = entities.size();
 
   const size_t nshards = shards_.size();
@@ -383,6 +395,7 @@ Result<ScriptTickStats> ScriptHost::RunTick(
         // tracks under the tid-0 sequential timeline in chrome://tracing.
         const uint64_t shard_t0 = tracing ? MonotonicNanos() : 0;
         Interpreter& interp = *shards_[chunk];
+        const Interpreter::FunctionRef entry = interp.FindFunction(fn);
         for (size_t i = begin; i < end; ++i) {
           EntityId e = entities[i];
           if (!world_->Alive(e)) continue;
@@ -391,7 +404,8 @@ Result<ScriptTickStats> ScriptHost::RunTick(
           if (direct) gate_.current[chunk] = e;
           // Per-entity random() stream: independent of the partition.
           interp.rng().Seed(PerEntitySeed(base_seed, tick, e));
-          Result<Value> r = interp.Call(fn, {Value(e)});
+          Value arg(e);
+          Result<Value> r = interp.Call(entry, ArgSpan(&arg, 1));
           if (!r.ok()) {
             ++error_count[chunk];
             if (first_index[chunk] == kNone) {

@@ -216,18 +216,26 @@ class ScriptHost {
   std::pair<bool, std::string> DirectVerdict(const std::string& fn) const;
 
  private:
+  /// A table an entry writes, resolved at Load for the per-tick observer
+  /// check (`info` is null for a name the registry did not know then).
+  struct WrittenTable {
+    std::string name;
+    const TypeInfo* info = nullptr;
+  };
   /// Load-time analysis verdict for one entry point under kDirectChecked.
   struct DirectEntry {
     bool eligible = false;
     std::string reason;
-    /// Component names the entry writes (for the per-tick observer check).
-    std::vector<std::string> written_components;
+    std::vector<WrittenTable> written_tables;
   };
 
   /// Ensures every registered component type has a store before the query
   /// phase: reads through the bindings must not grow World's store map from
   /// pool threads.
   void PrewarmStores();
+
+  /// The `script.fallback.<category>` counter for a fallback reason.
+  telemetry::Counter* FallbackCounter(const std::string& reason);
 
   World* world_;
   ScriptHostOptions options_;
@@ -266,6 +274,9 @@ class ScriptHost {
     telemetry::Histogram* maintain_ns = nullptr;
     telemetry::Histogram* query_phase_ns = nullptr;
     telemetry::Histogram* apply_phase_ns = nullptr;
+    /// script.fallback.{no_access_summary,observers,ineligible}, each
+    /// resolved at its first use (FallbackCounter).
+    telemetry::Counter* fallback[3] = {};
   };
   TickInstruments instruments_;
 };

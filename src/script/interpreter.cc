@@ -7,13 +7,48 @@
 
 namespace gamedb::script {
 
-Interpreter::Interpreter(InterpreterOptions options)
-    : options_(options), rng_(options.rng_seed) {
-  scopes_.push_back(Scope{});  // globals
+namespace {
+
+/// Truncates the value stack back to a mark when a call expression ends,
+/// however it ends (arguments, callee frame and all).
+class StackMark {
+ public:
+  explicit StackMark(std::vector<Value>* stack)
+      : stack_(stack), mark_(stack->size()) {}
+  ~StackMark() { stack_->resize(mark_); }
+  StackMark(const StackMark&) = delete;
+  StackMark& operator=(const StackMark&) = delete;
+  size_t mark() const { return mark_; }
+
+ private:
+  std::vector<Value>* stack_;
+  size_t mark_;
+};
+
+template <typename Fn>
+void ForEachCall(const Expr& e, const Fn& fn) {
+  if (e.kind == ExprKind::kCall) fn(e);
+  for (const auto& a : e.args) ForEachCall(*a, fn);
 }
 
-void Interpreter::RegisterBuiltin(const std::string& name, NativeFn fn) {
-  builtins_[name] = std::move(fn);
+template <typename Fn>
+void ForEachCall(const Stmt& s, const Fn& fn) {
+  if (s.expr) ForEachCall(*s.expr, fn);
+  for (const auto& b : s.body) ForEachCall(*b, fn);
+  for (const auto& b : s.else_body) ForEachCall(*b, fn);
+}
+
+}  // namespace
+
+Interpreter::Interpreter(InterpreterOptions options)
+    : options_(options), rng_(options.rng_seed) {}
+
+Interpreter::~Interpreter() = default;
+
+void Interpreter::RegisterBuiltin(const std::string& name, NativeFn fn,
+                                  BindFn bind) {
+  builtins_[name] = Builtin{std::move(fn), std::move(bind)};
+  BindCallSites();
 }
 
 Status Interpreter::Load(Script script) {
@@ -36,14 +71,34 @@ Status Interpreter::LoadSharedPreanalyzed(
                                      "' already defined by another script");
     }
   }
-  scripts_.push_back(std::move(script));
-  for (const auto& [name, fn] : s.functions) functions_[name] = fn;
-  for (const Stmt* h : s.handlers) handlers_[h->name].push_back(h);
+  auto loaded = std::make_unique<LoadedScript>();
+  loaded->script = std::move(script);
+  LoadedScript* owner = loaded.get();
+  scripts_.push_back(std::move(loaded));
+  for (const auto& [name, fn] : s.functions) {
+    functions_[name] = FunctionRef(fn, owner);
+  }
+  for (const Stmt* h : s.handlers) {
+    handlers_[h->name].push_back(FunctionRef(h, owner));
+  }
+  // The new functions may shadow builtins other scripts call.
+  BindCallSites();
 
-  // Run top-level statements with a fresh budget.
+  // Run top-level statements with a fresh budget, in a frame of their own.
   fuel_remaining_ = options_.fuel_per_invocation;
   last_fuel_used_ = 0;
-  Result<Flow> flow = ExecBlock(s.top_level);
+  Result<Flow> flow = Flow{};
+  {
+    StackMark mark(&stack_);
+    LoadedScript* const saved_code = code_;
+    const size_t saved_frame = frame_;
+    code_ = owner;
+    frame_ = mark.mark();
+    stack_.resize(frame_ + s.frame_size);
+    flow = ExecBlock(s.top_level);
+    code_ = saved_code;
+    frame_ = saved_frame;
+  }
   last_fuel_used_ = options_.fuel_per_invocation - fuel_remaining_;
   total_fuel_used_ += last_fuel_used_;
   if (!flow.ok()) {
@@ -55,34 +110,97 @@ Status Interpreter::LoadSharedPreanalyzed(
 
 void Interpreter::UnloadLast() {
   if (scripts_.empty()) return;
-  const Script& s = *scripts_.back();
+  const Script& s = *scripts_.back()->script;
   for (const auto& [name, fn] : s.functions) functions_.erase(name);
   for (const Stmt* h : s.handlers) {
     auto it = handlers_.find(h->name);
     if (it == handlers_.end()) continue;
     auto& v = it->second;
-    v.erase(std::remove(v.begin(), v.end(), h), v.end());
+    v.erase(std::remove_if(v.begin(), v.end(),
+                           [h](const FunctionRef& r) { return r.decl_ == h; }),
+            v.end());
     if (v.empty()) handlers_.erase(it);
   }
   scripts_.pop_back();
+  BindCallSites();
+}
+
+void Interpreter::BindCallSites() {
+  for (const auto& loaded : scripts_) {
+    const Script& s = *loaded->script;
+    std::vector<CallSlot>& slots = loaded->slots;
+    slots.assign(s.call_sites, CallSlot{});
+    auto bind = [&](const Expr& call) {
+      BindCallSite(call, &slots[call.site]);
+    };
+    for (const auto& st : s.top_level) ForEachCall(*st, bind);
+    for (const auto& d : s.decls) ForEachCall(*d, bind);
+  }
+}
+
+void Interpreter::BindCallSite(const Expr& call, CallSlot* slot) const {
+  CalleeKind kind = ResolveCallee(
+      call.name,
+      [this](const std::string& n) { return functions_.count(n) > 0; },
+      [this](const std::string& n) { return IsBuiltin(n); });
+  if (kind == CalleeKind::kScript) {
+    slot->fn = functions_.find(call.name)->second;
+    return;
+  }
+  if (kind == CalleeKind::kUnknown) return;
+  const Builtin& builtin = builtins_.find(call.name)->second;
+  slot->builtin = &builtin;
+  if (!builtin.bind) return;
+  const BuiltinSig* sig = FindBuiltinSig(call.name);
+  if (sig == nullptr) return;
+  SiteNames& names = slot->site.names;
+  names = LiteralNames(call, *sig);
+  auto mark = [slot](const std::string* name, int arg) {
+    if (name != nullptr) slot->bound_args |= 1u << arg;
+  };
+  mark(names.comp, sig->comp_arg);
+  mark(names.field, sig->field_arg);
+  mark(names.view, sig->view_arg);
+  mark(names.channel, sig->channel_arg);
+  mark(names.event, sig->event_arg);
+  mark(names.op, sig->op_arg);
+  builtin.bind(&slot->site);
 }
 
 bool Interpreter::HasFunction(const std::string& fn) const {
   return functions_.count(fn) > 0;
 }
 
-Result<Value> Interpreter::Call(const std::string& fn,
-                                std::vector<Value> args) {
+Interpreter::FunctionRef Interpreter::FindFunction(
+    const std::string& fn) const {
   auto it = functions_.find(fn);
-  if (it == functions_.end()) {
-    return Status::NotFound("no script function '" + fn + "'");
-  }
+  return it == functions_.end() ? FunctionRef() : it->second;
+}
+
+Result<Value> Interpreter::Invoke(FunctionRef fn, size_t args_base,
+                                  int line) {
   fuel_remaining_ = options_.fuel_per_invocation;
   last_fuel_used_ = 0;
-  Result<Value> out = CallScriptFunction(*it->second, std::move(args), 0);
+  Result<Value> out = CallScriptFunction(fn, args_base, line);
   last_fuel_used_ = options_.fuel_per_invocation - fuel_remaining_;
   total_fuel_used_ += last_fuel_used_;
   return out;
+}
+
+Result<Value> Interpreter::Call(FunctionRef fn, ArgSpan args) {
+  GAMEDB_DCHECK(fn);
+  StackMark mark(&stack_);
+  for (const Value& v : args) stack_.push_back(v);
+  return Invoke(fn, mark.mark(), 0);
+}
+
+Result<Value> Interpreter::Call(const std::string& fn,
+                                std::vector<Value> args) {
+  FunctionRef ref = FindFunction(fn);
+  if (!ref) {
+    return Status::NotFound("no script function '" + fn + "'");
+  }
+  return Call(ref, ArgSpan(args.data(), args.size()));
 }
 
 Status Interpreter::FireEvent(const std::string& event,
@@ -91,12 +209,10 @@ Status Interpreter::FireEvent(const std::string& event,
   if (completed != nullptr) *completed = 0;
   auto it = handlers_.find(event);
   if (it == handlers_.end()) return Status::OK();
-  for (const Stmt* h : it->second) {
-    fuel_remaining_ = options_.fuel_per_invocation;
-    last_fuel_used_ = 0;
-    Result<Value> r = CallScriptFunction(*h, args, h->line);
-    last_fuel_used_ = options_.fuel_per_invocation - fuel_remaining_;
-    total_fuel_used_ += last_fuel_used_;
+  for (const FunctionRef& h : it->second) {
+    StackMark mark(&stack_);
+    for (const Value& v : args) stack_.push_back(v);
+    Result<Value> r = Invoke(h, mark.mark(), h.decl_->line);
     if (!r.ok()) return r.status();
     if (completed != nullptr) ++*completed;
   }
@@ -109,12 +225,12 @@ size_t Interpreter::HandlerCount(const std::string& event) const {
 }
 
 void Interpreter::SetGlobal(const std::string& name, Value v) {
-  scopes_[0].vars[name] = std::move(v);
+  globals_[name] = std::move(v);
 }
 
 Result<Value> Interpreter::GetGlobal(const std::string& name) const {
-  auto it = scopes_[0].vars.find(name);
-  if (it == scopes_[0].vars.end()) {
+  auto it = globals_.find(name);
+  if (it == globals_.end()) {
     return Status::NotFound("no global '" + name + "'");
   }
   return it->second;
@@ -130,45 +246,32 @@ Status Interpreter::Charge(uint64_t amount, int line) {
   return Status::OK();
 }
 
-Value* Interpreter::FindVar(const std::string& name) {
-  for (size_t i = scopes_.size(); i-- > 0;) {
-    auto it = scopes_[i].vars.find(name);
-    if (it != scopes_[i].vars.end()) return &it->second;
-    if (scopes_[i].frame_boundary) break;  // locals end here
-  }
-  // Globals are always visible.
-  auto it = scopes_[0].vars.find(name);
-  if (it != scopes_[0].vars.end()) return &it->second;
-  return nullptr;
-}
-
-void Interpreter::DeclareVar(const std::string& name, Value v) {
-  scopes_.back().vars[name] = std::move(v);
-}
-
-Result<Value> Interpreter::CallScriptFunction(const Stmt& fn,
-                                              std::vector<Value> args,
-                                              int line) {
+Result<Value> Interpreter::CallScriptFunction(FunctionRef fn,
+                                              size_t args_base, int line) {
+  const Stmt& decl = *fn.decl_;
   if (call_depth_ >= options_.max_call_depth) {
     return Status::ResourceExhausted(
         StringFormat("line %d: call depth limit (%u) exceeded in '%s'", line,
-                     options_.max_call_depth, fn.name.c_str()));
+                     options_.max_call_depth, decl.name.c_str()));
   }
-  if (args.size() != fn.params.size()) {
+  const size_t nargs = stack_.size() - args_base;
+  if (nargs != decl.params.size()) {
     return Status::InvalidArgument(StringFormat(
-        "line %d: '%s' expects %zu args, got %zu", line, fn.name.c_str(),
-        fn.params.size(), args.size()));
+        "line %d: '%s' expects %zu args, got %zu", line, decl.name.c_str(),
+        decl.params.size(), nargs));
   }
   ++call_depth_;
-  scopes_.push_back(Scope{{}, /*frame_boundary=*/true});
-  for (size_t i = 0; i < args.size(); ++i) {
-    DeclareVar(fn.params[i], std::move(args[i]));
-  }
-  Result<Flow> flow = ExecBlock(fn.body);
-  scopes_.pop_back();
+  LoadedScript* const saved_code = code_;
+  const size_t saved_frame = frame_;
+  code_ = fn.owner_;
+  frame_ = args_base;  // the arguments are the parameter slots
+  stack_.resize(args_base + decl.frame_size);
+  Result<Flow> flow = ExecBlock(decl.body);
+  code_ = saved_code;
+  frame_ = saved_frame;
   --call_depth_;
   if (!flow.ok()) return flow.status();
-  if (flow->kind == Flow::kReturn) return flow->value;
+  if (flow->kind == Flow::kReturn) return std::move(flow->value);
   return Value::Nil();
 }
 
@@ -186,19 +289,27 @@ Result<Interpreter::Flow> Interpreter::Exec(const Stmt& s) {
   switch (s.kind) {
     case StmtKind::kLet: {
       GAMEDB_ASSIGN_OR_RETURN(Value v, Eval(*s.expr));
-      DeclareVar(s.name, std::move(v));
+      if (s.slot == kNoSlot) {
+        globals_[s.name] = std::move(v);
+      } else {
+        Local(s.slot) = std::move(v);
+      }
       return Flow{};
     }
     case StmtKind::kAssign: {
       GAMEDB_ASSIGN_OR_RETURN(Value v, Eval(*s.expr));
-      Value* slot = FindVar(s.name);
-      if (slot == nullptr) {
+      if (s.slot != kNoSlot) {
+        Local(s.slot) = std::move(v);
+        return Flow{};
+      }
+      auto it = globals_.find(s.name);
+      if (it == globals_.end()) {
         return Status::InvalidArgument(
             StringFormat("line %d: assignment to undeclared variable '%s' "
                          "(use 'let')",
                          s.line, s.name.c_str()));
       }
-      *slot = std::move(v);
+      it->second = std::move(v);
       return Flow{};
     }
     case StmtKind::kExpr: {
@@ -208,23 +319,16 @@ Result<Interpreter::Flow> Interpreter::Exec(const Stmt& s) {
     }
     case StmtKind::kIf: {
       GAMEDB_ASSIGN_OR_RETURN(Value cond, Eval(*s.expr));
-      scopes_.push_back(Scope{});
-      Result<Flow> flow =
-          cond.Truthy() ? ExecBlock(s.body) : ExecBlock(s.else_body);
-      scopes_.pop_back();
-      return flow;
+      return cond.Truthy() ? ExecBlock(s.body) : ExecBlock(s.else_body);
     }
     case StmtKind::kWhile: {
       while (true) {
         GAMEDB_RETURN_NOT_OK(Charge(1, s.line));
         GAMEDB_ASSIGN_OR_RETURN(Value cond, Eval(*s.expr));
         if (!cond.Truthy()) break;
-        scopes_.push_back(Scope{});
-        Result<Flow> flow = ExecBlock(s.body);
-        scopes_.pop_back();
-        if (!flow.ok()) return flow.status();
-        if (flow->kind == Flow::kReturn) return *flow;
-        if (flow->kind == Flow::kBreak) break;
+        GAMEDB_ASSIGN_OR_RETURN(Flow flow, ExecBlock(s.body));
+        if (flow.kind == Flow::kReturn) return flow;
+        if (flow.kind == Flow::kBreak) break;
       }
       return Flow{};
     }
@@ -239,13 +343,10 @@ Result<Interpreter::Flow> Interpreter::Exec(const Stmt& s) {
       std::vector<Value> items = *iterable.AsList();
       for (Value& item : items) {
         GAMEDB_RETURN_NOT_OK(Charge(1, s.line));
-        scopes_.push_back(Scope{});
-        DeclareVar(s.name, item);
-        Result<Flow> flow = ExecBlock(s.body);
-        scopes_.pop_back();
-        if (!flow.ok()) return flow.status();
-        if (flow->kind == Flow::kReturn) return *flow;
-        if (flow->kind == Flow::kBreak) break;
+        Local(s.slot) = item;
+        GAMEDB_ASSIGN_OR_RETURN(Flow flow, ExecBlock(s.body));
+        if (flow.kind == Flow::kReturn) return flow;
+        if (flow.kind == Flow::kBreak) break;
       }
       return Flow{};
     }
@@ -268,18 +369,53 @@ Result<Interpreter::Flow> Interpreter::Exec(const Stmt& s) {
   return Status::InvalidArgument("unknown statement kind");
 }
 
+Result<Value> Interpreter::EvalCall(const Expr& e) {
+  CallSlot& slot = code_->slots[e.site];
+  StackMark mark(&stack_);
+  for (size_t i = 0; i < e.args.size(); ++i) {
+    const Expr& arg = *e.args[i];
+    if (slot.bound_args & (1u << i)) {
+      // A literal name the load step bound: charged like the literal it
+      // is, passed as nil (the builtin reads it from its SiteBinding).
+      GAMEDB_RETURN_NOT_OK(Charge(1, arg.line));
+      stack_.emplace_back();
+      continue;
+    }
+    GAMEDB_ASSIGN_OR_RETURN(Value v, Eval(arg));
+    stack_.push_back(std::move(v));
+  }
+  if (slot.fn) return CallScriptFunction(slot.fn, mark.mark(), e.line);
+  if (slot.builtin == nullptr) {
+    return Status::InvalidArgument(StringFormat(
+        "line %d: unknown function '%s'", e.line, e.name.c_str()));
+  }
+  // The slot is this interpreter's own; builtins may refresh its binding.
+  Result<Value> r = slot.builtin->fn(
+      ArgSpan(stack_.data() + mark.mark(), e.args.size()), slot.site, *this);
+  if (!r.ok()) {
+    // Attach the call site, preserving the error code (fuel
+    // exhaustion must stay ResourceExhausted, etc).
+    return Status::FromCode(r.status().code(),
+                            StringFormat("line %d: %s: %s", e.line,
+                                         e.name.c_str(),
+                                         r.status().message().c_str()));
+  }
+  return r;
+}
+
 Result<Value> Interpreter::Eval(const Expr& e) {
   GAMEDB_RETURN_NOT_OK(Charge(1, e.line));
   switch (e.kind) {
     case ExprKind::kLiteral:
       return e.literal;
     case ExprKind::kVar: {
-      Value* v = FindVar(e.name);
-      if (v == nullptr) {
+      if (e.slot != kNoSlot) return Local(e.slot);
+      auto it = globals_.find(e.name);
+      if (it == globals_.end()) {
         return Status::InvalidArgument(StringFormat(
             "line %d: undefined variable '%s'", e.line, e.name.c_str()));
       }
-      return *v;
+      return it->second;
     }
     case ExprKind::kList: {
       std::vector<Value> items;
@@ -369,33 +505,8 @@ Result<Value> Interpreter::Eval(const Expr& e) {
           return Status::InvalidArgument("bad binary operator");
       }
     }
-    case ExprKind::kCall: {
-      std::vector<Value> args;
-      args.reserve(e.args.size());
-      for (const auto& a : e.args) {
-        GAMEDB_ASSIGN_OR_RETURN(Value v, Eval(*a));
-        args.push_back(std::move(v));
-      }
-      auto fn_it = functions_.find(e.name);
-      if (fn_it != functions_.end()) {
-        return CallScriptFunction(*fn_it->second, std::move(args), e.line);
-      }
-      auto b_it = builtins_.find(e.name);
-      if (b_it != builtins_.end()) {
-        Result<Value> r = b_it->second(args, *this);
-        if (!r.ok()) {
-          // Attach the call site, preserving the error code (fuel
-          // exhaustion must stay ResourceExhausted, etc).
-          return Status::FromCode(
-              r.status().code(),
-              StringFormat("line %d: %s: %s", e.line, e.name.c_str(),
-                           r.status().message().c_str()));
-        }
-        return r;
-      }
-      return Status::InvalidArgument(StringFormat(
-          "line %d: unknown function '%s'", e.line, e.name.c_str()));
-    }
+    case ExprKind::kCall:
+      return EvalCall(e);
   }
   return Status::InvalidArgument("unknown expression kind");
 }

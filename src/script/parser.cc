@@ -7,6 +7,12 @@ namespace gamedb::script {
 
 namespace {
 
+/// Deepest syntactic nesting accepted: blocks, `else if` chains,
+/// parenthesized / argument / list sub-expressions and prefix operators
+/// each add a level. Bounds the parser's recursion and, because the AST
+/// is no deeper, the interpreter's and the verifier's.
+constexpr int kMaxNesting = 256;
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -32,6 +38,8 @@ class Parser {
         script.top_level.push_back(std::move(stmt));
       }
     }
+    script.call_sites = call_sites_;
+    script.frame_size = top_frame_size_;
     return script;
   }
 
@@ -53,6 +61,60 @@ class Parser {
                                 ", got " + TokenTypeName(Peek().type));
   }
 
+  // ---- nesting bound -----------------------------------------------------
+
+  /// One level of recursive descent; leaving the production pops it.
+  class Nest {
+   public:
+    explicit Nest(int* depth) : depth_(depth) { ++*depth_; }
+    ~Nest() { --*depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    int* depth_;
+  };
+  Status CheckNesting() const {
+    if (depth_ <= kMaxNesting) return Status::OK();
+    return Status::ParseError(
+        StringFormat("line %d, col %d: nesting deeper than %d levels",
+                     Peek().line, Peek().column, kMaxNesting));
+  }
+
+  // ---- frame slots -------------------------------------------------------
+  // Mirrors the interpreter's scoping: a function frame holds its params
+  // and body locals in one scope, every if/while/foreach body opens a
+  // nested one, and a name found in no scope of the current frame is a
+  // global. At the top level the outermost scope *is* the globals, so
+  // `scopes_` is empty there and a `let` outside any block declares a
+  // global.
+
+  struct Binding {
+    std::string name;
+    uint32_t slot;
+  };
+  using Scope = std::vector<Binding>;
+
+  uint32_t Lookup(const std::string& name) const {
+    for (auto scope = scopes_.rbegin(); scope != scopes_.rend(); ++scope) {
+      for (auto b = scope->rbegin(); b != scope->rend(); ++b) {
+        if (b->name == name) return b->slot;
+      }
+    }
+    return kNoSlot;
+  }
+  /// Binds `name` in the innermost scope; re-declaring a name there reuses
+  /// its slot (the interpreter overwrites it, as `let` always has).
+  uint32_t Declare(const std::string& name) {
+    if (scopes_.empty()) return kNoSlot;  // top-level global
+    for (const Binding& b : scopes_.back()) {
+      if (b.name == name) return b.slot;
+    }
+    uint32_t slot = (*frame_size_)++;
+    scopes_.back().push_back(Binding{name, slot});
+    return slot;
+  }
+
   Result<std::unique_ptr<Stmt>> ParseDecl() {
     bool is_fn = Match(TokenType::kFn);
     if (!is_fn) GAMEDB_RETURN_NOT_OK(Expect(TokenType::kOn));
@@ -70,11 +132,36 @@ class Parser {
       } while (Match(TokenType::kComma));
     }
     GAMEDB_RETURN_NOT_OK(Expect(TokenType::kRParen));
-    GAMEDB_ASSIGN_OR_RETURN(stmt->body, ParseBlock());
+    // A fresh frame: parameters take slots 0..n-1 (a repeated name binds
+    // its last slot, as the last argument used to overwrite the first),
+    // body locals follow in the same scope.
+    uint32_t* const outer_frame = frame_size_;
+    frame_size_ = &stmt->frame_size;
+    scopes_.emplace_back();
+    for (const std::string& p : stmt->params) {
+      scopes_.back().push_back(Binding{p, (*frame_size_)++});
+    }
+    Result<std::vector<std::unique_ptr<Stmt>>> body =
+        ParseBlock(/*new_scope=*/false);
+    scopes_.pop_back();
+    frame_size_ = outer_frame;
+    if (!body.ok()) return body.status();
+    stmt->body = std::move(*body);
     return stmt;
   }
 
-  Result<std::vector<std::unique_ptr<Stmt>>> ParseBlock() {
+  /// `{ stmt* }`. With `new_scope` false the statements bind into the
+  /// caller's innermost scope (function and foreach bodies).
+  Result<std::vector<std::unique_ptr<Stmt>>> ParseBlock(bool new_scope) {
+    Nest nest(&depth_);
+    GAMEDB_RETURN_NOT_OK(CheckNesting());
+    if (new_scope) scopes_.emplace_back();
+    Result<std::vector<std::unique_ptr<Stmt>>> body = ParseBlockBody();
+    if (new_scope) scopes_.pop_back();
+    return body;
+  }
+
+  Result<std::vector<std::unique_ptr<Stmt>>> ParseBlockBody() {
     GAMEDB_RETURN_NOT_OK(Expect(TokenType::kLBrace));
     std::vector<std::unique_ptr<Stmt>> body;
     while (!Check(TokenType::kRBrace)) {
@@ -98,19 +185,28 @@ class Parser {
       GAMEDB_RETURN_NOT_OK(Expect(TokenType::kIdent));
       stmt->name = Prev().text;
       GAMEDB_RETURN_NOT_OK(Expect(TokenType::kAssign));
+      // The initializer sees the bindings from before this `let`.
       GAMEDB_ASSIGN_OR_RETURN(stmt->expr, ParseExpr());
+      stmt->slot = Declare(stmt->name);
       return stmt;
     }
     if (Match(TokenType::kIf)) {
       stmt->kind = StmtKind::kIf;
       GAMEDB_ASSIGN_OR_RETURN(stmt->expr, ParseExpr());
-      GAMEDB_ASSIGN_OR_RETURN(stmt->body, ParseBlock());
+      GAMEDB_ASSIGN_OR_RETURN(stmt->body, ParseBlock(/*new_scope=*/true));
       if (Match(TokenType::kElse)) {
         if (Check(TokenType::kIf)) {
-          GAMEDB_ASSIGN_OR_RETURN(auto elif, ParseStmt());
-          stmt->else_body.push_back(std::move(elif));
+          // `else if` runs in a scope of its own, like an else block.
+          Nest nest(&depth_);
+          GAMEDB_RETURN_NOT_OK(CheckNesting());
+          scopes_.emplace_back();
+          Result<std::unique_ptr<Stmt>> elif = ParseStmt();
+          scopes_.pop_back();
+          if (!elif.ok()) return elif.status();
+          stmt->else_body.push_back(std::move(*elif));
         } else {
-          GAMEDB_ASSIGN_OR_RETURN(stmt->else_body, ParseBlock());
+          GAMEDB_ASSIGN_OR_RETURN(stmt->else_body,
+                                  ParseBlock(/*new_scope=*/true));
         }
       }
       return stmt;
@@ -118,7 +214,7 @@ class Parser {
     if (Match(TokenType::kWhile)) {
       stmt->kind = StmtKind::kWhile;
       GAMEDB_ASSIGN_OR_RETURN(stmt->expr, ParseExpr());
-      GAMEDB_ASSIGN_OR_RETURN(stmt->body, ParseBlock());
+      GAMEDB_ASSIGN_OR_RETURN(stmt->body, ParseBlock(/*new_scope=*/true));
       return stmt;
     }
     if (Match(TokenType::kForeach)) {
@@ -127,7 +223,14 @@ class Parser {
       stmt->name = Prev().text;
       GAMEDB_RETURN_NOT_OK(Expect(TokenType::kIn));
       GAMEDB_ASSIGN_OR_RETURN(stmt->expr, ParseExpr());
-      GAMEDB_ASSIGN_OR_RETURN(stmt->body, ParseBlock());
+      // The loop variable and the body's locals share one scope per item.
+      scopes_.emplace_back();
+      stmt->slot = Declare(stmt->name);
+      Result<std::vector<std::unique_ptr<Stmt>>> body =
+          ParseBlock(/*new_scope=*/false);
+      scopes_.pop_back();
+      if (!body.ok()) return body.status();
+      stmt->body = std::move(*body);
       return stmt;
     }
     if (Match(TokenType::kReturn)) {
@@ -151,6 +254,7 @@ class Parser {
         tokens_[pos_ + 1].type == TokenType::kAssign) {
       stmt->kind = StmtKind::kAssign;
       stmt->name = Peek().text;
+      stmt->slot = Lookup(stmt->name);
       pos_ += 2;
       GAMEDB_ASSIGN_OR_RETURN(stmt->expr, ParseExpr());
       return stmt;
@@ -160,7 +264,11 @@ class Parser {
     return stmt;
   }
 
-  Result<std::unique_ptr<Expr>> ParseExpr() { return ParseOr(); }
+  Result<std::unique_ptr<Expr>> ParseExpr() {
+    Nest nest(&depth_);
+    GAMEDB_RETURN_NOT_OK(CheckNesting());
+    return ParseOr();
+  }
 
   Result<std::unique_ptr<Expr>> ParseBinaryChain(
       Result<std::unique_ptr<Expr>> (Parser::*next)(),
@@ -214,6 +322,8 @@ class Parser {
 
   Result<std::unique_ptr<Expr>> ParseUnary() {
     if (Match(TokenType::kMinus) || Match(TokenType::kNot)) {
+      Nest nest(&depth_);
+      GAMEDB_RETURN_NOT_OK(CheckNesting());
       auto node = std::make_unique<Expr>();
       node->kind = ExprKind::kUnary;
       node->line = Prev().line;
@@ -275,6 +385,7 @@ class Parser {
       node->name = Prev().text;
       if (Match(TokenType::kLParen)) {
         node->kind = ExprKind::kCall;
+        node->site = call_sites_++;
         if (!Check(TokenType::kRParen)) {
           do {
             GAMEDB_ASSIGN_OR_RETURN(auto arg, ParseExpr());
@@ -285,6 +396,7 @@ class Parser {
         return node;
       }
       node->kind = ExprKind::kVar;
+      node->slot = Lookup(node->name);
       return node;
     }
     return Err(Peek().line, std::string("unexpected ") +
@@ -293,6 +405,13 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;
+  uint32_t call_sites_ = 0;
+  std::vector<Scope> scopes_;
+  uint32_t top_frame_size_ = 0;
+  /// Slot counter of the frame being parsed (a declaration's frame_size,
+  /// or the top level's).
+  uint32_t* frame_size_ = &top_frame_size_;
 };
 
 }  // namespace

@@ -93,7 +93,7 @@ void TriggerSystem::WatchView(views::LiveView* view, std::string enter_event,
 
 void TriggerSystem::InstallFireBuiltin() {
   interp_->RegisterBuiltin(
-      "fire", [this](std::vector<Value>& args,
+      "fire", [this](ArgSpan args, SiteBinding&,
                      Interpreter&) -> Result<Value> {
         if (args.empty() || !args[0].IsString()) {
           return Status::InvalidArgument(

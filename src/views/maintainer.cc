@@ -51,6 +51,7 @@ Result<LiveView*> ViewCatalog::Register(ViewDef def) {
   }
   by_name_.emplace(view->name(), view.get());
   views_.push_back(std::move(view));
+  ++generation_;
   return views_.back().get();
 }
 
@@ -82,6 +83,7 @@ bool ViewCatalog::Unregister(const std::string& name) {
                                 return v.get() == view;
                               }),
                views_.end());
+  ++generation_;
   return true;
 }
 

@@ -91,6 +91,11 @@ class ViewCatalog {
 
   size_t view_count() const { return views_.size(); }
 
+  /// Bumped by every successful Register and Unregister: a LiveView*
+  /// resolved at generation g is still valid while generation() == g (the
+  /// GSL view builtins bind view names at load and re-bind on change).
+  uint64_t generation() const { return generation_; }
+
   /// Names of every registered view, in registration order (feeds schema
   /// enumeration for did-you-mean lint suggestions).
   std::vector<std::string> ViewNames() const {
@@ -122,6 +127,7 @@ class ViewCatalog {
   std::vector<uint32_t> captured_;
   std::unordered_set<uint32_t> captured_set_;
   ChangeSet scratch_;
+  uint64_t generation_ = 0;
   CatalogStats stats_;
   telemetry::TelemetrySink telemetry_;
   /// Cached registry instruments (all nullptr until SetTelemetry).

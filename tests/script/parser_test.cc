@@ -116,5 +116,84 @@ TEST(ParserTest, MissingParenFails) {
   EXPECT_FALSE(Parse("print(1, 2").ok());
 }
 
+// Hostile nesting is a source-located ParseError, not a stack overflow
+// (both inputs below used to kill the process with SIGSEGV).
+TEST(ParserTest, DeepParenthesesRejectedWithLocation) {
+  const std::string src =
+      "let x = " + std::string(4000, '(') + "1" + std::string(4000, ')');
+  auto r = Parse(src);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsParseError());
+  EXPECT_NE(r.status().message().find("line 1, col "), std::string::npos)
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("nesting deeper than"),
+            std::string::npos);
+}
+
+TEST(ParserTest, LongUnaryChainRejectedWithLocation) {
+  const std::string src = "let x = " + std::string(100000, '-') + "1";
+  auto r = Parse(src);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsParseError());
+  EXPECT_NE(r.status().message().find("nesting deeper than"),
+            std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(ParserTest, DeepBlocksAndElseIfChainsRejected) {
+  std::string blocks;
+  for (int i = 0; i < 5000; ++i) blocks += "if true { ";
+  blocks += std::string(5000, '}');
+  EXPECT_TRUE(Parse(blocks).status().IsParseError());
+
+  std::string chain = "if false { }";
+  for (int i = 0; i < 5000; ++i) chain += " else if false { }";
+  EXPECT_TRUE(Parse(chain).status().IsParseError());
+}
+
+TEST(ParserTest, ModerateNestingStillParses) {
+  const std::string src =
+      "let x = " + std::string(200, '(') + "1" + std::string(200, ')');
+  Script s = MustParse(src);
+  EXPECT_EQ(s.top_level[0]->expr->kind, ExprKind::kLiteral);
+  MustParse("let y = " + std::string(200, '-') + "1");
+}
+
+// Locals get frame slots at parse time; globals (a top-level `let`
+// outside any block, or an undeclared name) keep kNoSlot.
+TEST(ParserTest, LocalsResolveToFrameSlots) {
+  Script s = MustParse(
+      "let g = 1\n"
+      "fn f(a, b) {\n"
+      "  let c = a + g\n"
+      "  if c { let d = b\n let c = d }\n"
+      "  foreach v in [c] { c = v }\n"
+      "  return c\n"
+      "}\n");
+  EXPECT_EQ(s.top_level[0]->slot, kNoSlot);
+  const Stmt* f = s.functions.at("f");
+  const Stmt& let_c = *f->body[0];
+  EXPECT_EQ(let_c.slot, 2u);                         // after a, b
+  EXPECT_EQ(let_c.expr->args[0]->slot, 0u);          // a
+  EXPECT_EQ(let_c.expr->args[1]->slot, kNoSlot);     // g is a global
+  const Stmt& if_stmt = *f->body[1];
+  EXPECT_EQ(if_stmt.body[0]->slot, 3u);              // d
+  EXPECT_EQ(if_stmt.body[1]->slot, 4u);              // inner c shadows
+  const Stmt& loop = *f->body[2];
+  EXPECT_EQ(loop.slot, 5u);                          // v
+  EXPECT_EQ(loop.body[0]->slot, 2u);                 // assigns outer c
+  EXPECT_EQ(f->body[3]->expr->slot, 2u);
+  EXPECT_EQ(f->frame_size, 6u);
+}
+
+TEST(ParserTest, CallSitesAreNumberedPerScript) {
+  Script s = MustParse("fn f(x) { return g(h(x), 1) }\nlet y = f(2)");
+  EXPECT_EQ(s.call_sites, 3u);
+  const Expr& g = *s.functions.at("f")->body[0]->expr;
+  EXPECT_EQ(g.site, 0u);
+  EXPECT_EQ(g.args[0]->site, 1u);
+  EXPECT_EQ(s.top_level[0]->expr->site, 2u);
+}
+
 }  // namespace
 }  // namespace gamedb::script
