@@ -1,6 +1,9 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace gamedb::json {
@@ -43,11 +46,14 @@ class Parser {
     return false;
   }
 
+  /// `depth` counts the arrays/objects enclosing the value.
   Status ParseValue(JsonValue* out, int depth) {
-    if (depth > kMaxDepth) return Fail("nesting too deep");
     SkipWs();
     if (pos_ >= text_.size()) return Fail("unexpected end of input");
     char c = text_[pos_];
+    if ((c == '{' || c == '[') && depth == kMaxDepth) {
+      return Fail("nesting too deep");
+    }
     switch (c) {
       case '{':
         return ParseObject(out, depth);
@@ -172,22 +178,26 @@ class Parser {
     return Fail("unterminated string");
   }
 
+  /// RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
   Status ParseNumber(JsonValue* out) {
-    size_t start = pos_;
-    if (Consume('-')) {
+    const size_t start = pos_;
+    auto digits = [this] {
+      const size_t from = pos_;
+      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+        ++pos_;
+      }
+      return pos_ > from;
+    };
+    Consume('-');
+    if (!Consume('0') && !digits()) return Fail("bad number");
+    if (Consume('.') && !digits()) return Fail("bad number");
+    if (Consume('e') || Consume('E')) {
+      if (!Consume('+')) Consume('-');
+      if (!digits()) return Fail("bad number");
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    std::string tok = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    double v = std::strtod(tok.c_str(), &end);
-    if (end == nullptr || *end != '\0' || tok.empty()) {
-      return Fail("bad number");
-    }
+    const double v =
+        std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
+    if (!std::isfinite(v)) return Fail("number out of range");
     out->kind = JsonValue::Kind::kNumber;
     out->number = v;
     return Status::OK();
@@ -227,6 +237,120 @@ class Parser {
 
 Result<JsonValue> ParseJson(const std::string& text) {
   return Parser(text).Parse();
+}
+
+void AppendQuoted(std::string* out, std::string_view s) {
+  out->push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
+std::string Fixed3(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.3f", std::isfinite(v) ? v : 0.0);
+  return buf;
+}
+
+// --- Shape checker ---------------------------------------------------------
+
+const Shape kAnyBool{JsonValue::Kind::kBool};
+const Shape kAnyNumber{JsonValue::Kind::kNumber};
+const Shape kAnyString{JsonValue::Kind::kString};
+const Shape kAnyObject{JsonValue::Kind::kObject};
+
+Shape Object(std::vector<Field> fields) {
+  return Shape{JsonValue::Kind::kObject, std::move(fields)};
+}
+
+Shape ArrayOf(const Shape* each) {
+  return Shape{JsonValue::Kind::kArray, {}, each};
+}
+
+Shape MapOf(const Shape* each) {
+  return Shape{JsonValue::Kind::kObject, {}, each};
+}
+
+Shape OneOf(std::vector<std::string_view> tokens) {
+  return Shape{JsonValue::Kind::kString, {}, nullptr, std::move(tokens)};
+}
+
+namespace {
+
+const char* KindName(JsonValue::Kind kind) {
+  switch (kind) {
+    case JsonValue::Kind::kNull: return "null";
+    case JsonValue::Kind::kBool: return "a bool";
+    case JsonValue::Kind::kNumber: return "a number";
+    case JsonValue::Kind::kString: return "a string";
+    case JsonValue::Kind::kArray: return "an array";
+    case JsonValue::Kind::kObject: return "an object";
+  }
+  return "?";
+}
+
+std::string Check(const JsonValue& v, const Shape& shape,
+                  const std::string& path, bool nullable) {
+  if (nullable && v.Is(JsonValue::Kind::kNull)) return "";
+  const std::string at = path.empty() ? "top level" : path;
+  if (!v.Is(shape.kind)) {
+    return at + " must be " + KindName(shape.kind) +
+           (nullable ? " or null" : "");
+  }
+  if (!shape.tokens.empty() &&
+      std::find(shape.tokens.begin(), shape.tokens.end(), v.str) ==
+          shape.tokens.end()) {
+    std::string allowed;
+    for (std::string_view t : shape.tokens) {
+      allowed += (allowed.empty() ? "\"" : "|\"") + std::string(t) + "\"";
+    }
+    return at + " must be one of " + allowed + ", not \"" + v.str + "\"";
+  }
+  const std::string prefix = path.empty() ? "" : path + ".";
+  for (const Field& f : shape.fields) {
+    const JsonValue* member = v.Find(f.key);
+    const std::string member_path = prefix + std::string(f.key);
+    if (member == nullptr) {
+      if (f.presence == Presence::kOptional) continue;
+      return "missing " + member_path;
+    }
+    std::string why = Check(*member, *f.shape, member_path,
+                            f.presence == Presence::kNullable);
+    if (!why.empty()) return why;
+  }
+  if (shape.each == nullptr) return "";
+  for (size_t i = 0; i < v.elements.size(); ++i) {
+    std::string why = Check(v.elements[i], *shape.each,
+                            path + "[" + std::to_string(i) + "]", false);
+    if (!why.empty()) return why;
+  }
+  for (const auto& [key, member] : v.members) {
+    std::string why = Check(member, *shape.each, prefix + key, false);
+    if (!why.empty()) return why;
+  }
+  return "";
+}
+
+}  // namespace
+
+std::string CheckShape(const JsonValue& v, const Shape& shape) {
+  return Check(v, shape, "", false);
 }
 
 }  // namespace gamedb::json

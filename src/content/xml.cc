@@ -77,13 +77,17 @@ std::vector<const XmlNode*> XmlNode::Children(std::string_view child_name) const
 
 namespace {
 
+/// Deepest element nesting accepted, the same bound the GSL parser uses:
+/// ParseElement recurses once per level.
+constexpr int kMaxDepth = 256;
+
 class XmlParser {
  public:
   explicit XmlParser(std::string_view src) : src_(src) {}
 
   Result<std::unique_ptr<XmlNode>> Run() {
     SkipProlog();
-    GAMEDB_ASSIGN_OR_RETURN(auto root, ParseElement());
+    GAMEDB_ASSIGN_OR_RETURN(auto root, ParseElement(1));
     SkipWhitespaceAndComments();
     if (pos_ < src_.size()) {
       return Err("trailing content after root element");
@@ -179,7 +183,12 @@ class XmlParser {
     return out;
   }
 
-  Result<std::unique_ptr<XmlNode>> ParseElement() {
+  /// `depth` is the element's nesting level; the root is 1.
+  Result<std::unique_ptr<XmlNode>> ParseElement(int depth) {
+    if (depth > kMaxDepth) {
+      return Err(StringFormat("elements nested deeper than %d levels",
+                              kMaxDepth));
+    }
     if (Peek() != '<') return Err("expected '<'");
     Get();
     auto node = std::make_unique<XmlNode>();
@@ -242,7 +251,7 @@ class XmlParser {
           node->text = std::string(Trim(decoded));
           return node;
         }
-        GAMEDB_ASSIGN_OR_RETURN(auto child, ParseElement());
+        GAMEDB_ASSIGN_OR_RETURN(auto child, ParseElement(depth + 1));
         node->children.push_back(std::move(child));
       } else {
         text.push_back(Get());

@@ -42,7 +42,8 @@ struct XmlNode {
   std::vector<const XmlNode*> Children(std::string_view name) const;
 };
 
-/// Parses a document; returns its single root element.
+/// Parses a document; returns its single root element. Elements nested
+/// deeper than 256 levels are a line-located ParseError.
 Result<std::unique_ptr<XmlNode>> ParseXml(std::string_view source);
 
 }  // namespace gamedb::content

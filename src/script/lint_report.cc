@@ -1,8 +1,8 @@
 #include "script/lint_report.h"
 
-#include <cctype>
 #include <cmath>
 
+#include "common/json.h"
 #include "common/string_util.h"
 
 namespace gamedb::script {
@@ -117,39 +117,10 @@ std::string RenderConflictDot(const std::string& origin,
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          out += StringFormat("\\u%04x", c);
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
 std::string JsonStr(const std::string& s) {
-  return "\"" + JsonEscape(s) + "\"";
+  std::string out;
+  json::AppendQuoted(&out, s);
+  return out;
 }
 
 std::string JsonNum(double v) {
@@ -282,405 +253,74 @@ std::string RenderLintJson(const std::vector<LintFileResult>& files,
 }
 
 // ---------------------------------------------------------------------------
-// JSON validation: a minimal recursive-descent parser (no dependencies)
-// plus a walker for the gamedb.gsl_lint.v1 shape.
+// JSON validation: the gamedb.gsl_lint.v1 shape
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> members;
+using json::kAnyBool;
+using json::kAnyNumber;
+using json::kAnyString;
+using json::Presence;
+using json::Shape;
 
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
+const Shape kSchemaTag = json::OneOf({"gamedb.gsl_lint.v1"});
+const Shape kSeverity = json::OneOf({"warning", "error"});
+const Shape kPass = json::OneOf({"structure", "phase", "bindings", "cost"});
+const Shape kPhase =
+    json::OneOf({"sequential", "parallel-defer", "parallel-reject"});
+const Shape kWriteTarget = json::OneOf({"self", "foreign", "self+foreign"});
 
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  Result<JsonValue> Parse() {
-    GAMEDB_ASSIGN_OR_RETURN(JsonValue v, ParseValue());
-    SkipWs();
-    if (pos_ != text_.size()) {
-      return Fail("trailing content after top-level value");
-    }
-    return v;
-  }
-
- private:
-  Status Fail(const std::string& why) const {
-    return Status::InvalidArgument(
-        StringFormat("json parse error at offset %zu: %s", pos_,
-                     why.c_str()));
-  }
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ConsumeWord(const char* w) {
-    size_t len = std::string(w).size();
-    if (text_.compare(pos_, len, w) == 0) {
-      pos_ += len;
-      return true;
-    }
-    return false;
-  }
-
-  Result<JsonValue> ParseValue() {
-    SkipWs();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    char c = text_[pos_];
-    JsonValue v;
-    switch (c) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
-      case '"': {
-        GAMEDB_ASSIGN_OR_RETURN(v.str, ParseString());
-        v.kind = JsonValue::Kind::kString;
-        return v;
-      }
-      case 't':
-        if (!ConsumeWord("true")) return Fail("bad literal");
-        v.kind = JsonValue::Kind::kBool;
-        v.b = true;
-        return v;
-      case 'f':
-        if (!ConsumeWord("false")) return Fail("bad literal");
-        v.kind = JsonValue::Kind::kBool;
-        v.b = false;
-        return v;
-      case 'n':
-        if (!ConsumeWord("null")) return Fail("bad literal");
-        v.kind = JsonValue::Kind::kNull;
-        return v;
-      default:
-        return ParseNumber();
-    }
-  }
-
-  Result<JsonValue> ParseObject() {
-    if (!Consume('{')) return Fail("expected '{'");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    SkipWs();
-    if (Consume('}')) return v;
-    while (true) {
-      SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Fail("expected object key string");
-      }
-      GAMEDB_ASSIGN_OR_RETURN(std::string key, ParseString());
-      if (!Consume(':')) return Fail("expected ':' after key");
-      GAMEDB_ASSIGN_OR_RETURN(JsonValue member, ParseValue());
-      v.members.emplace_back(std::move(key), std::move(member));
-      if (Consume(',')) continue;
-      if (Consume('}')) return v;
-      return Fail("expected ',' or '}' in object");
-    }
-  }
-
-  Result<JsonValue> ParseArray() {
-    if (!Consume('[')) return Fail("expected '['");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    SkipWs();
-    if (Consume(']')) return v;
-    while (true) {
-      GAMEDB_ASSIGN_OR_RETURN(JsonValue item, ParseValue());
-      v.items.push_back(std::move(item));
-      if (Consume(',')) continue;
-      if (Consume(']')) return v;
-      return Fail("expected ',' or ']' in array");
-    }
-  }
-
-  Result<std::string> ParseString() {
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return Fail("expected '\"'");
-    }
-    ++pos_;
-    std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return Fail("dangling escape");
-        char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-          case '\\':
-          case '/':
-            out += esc;
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'b':
-            out += '\b';
-            break;
-          case 'f':
-            out += '\f';
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Fail("bad \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return Fail("bad \\u escape digit");
-              }
-            }
-            // Only the escapes this emitter produces (< 0x20) need decode;
-            // anything else passes through as '?' rather than full UTF-16.
-            out += code < 0x80 ? static_cast<char>(code) : '?';
-            break;
-          }
-          default:
-            return Fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  Result<JsonValue> ParseNumber() {
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("expected a value");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    try {
-      v.num = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      return Fail("malformed number");
-    }
-    return v;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-Status Expect(bool cond, const std::string& what) {
-  if (cond) return Status::OK();
-  return Status::InvalidArgument("gsl_lint json schema violation: " + what);
-}
-
-bool IsKind(const JsonValue* v, JsonValue::Kind k) {
-  return v != nullptr && v->kind == k;
-}
-
-bool OneOf(const std::string& s, std::initializer_list<const char*> opts) {
-  for (const char* o : opts) {
-    if (s == o) return true;
-  }
-  return false;
-}
-
-Status ValidateDiagnostic(const JsonValue& d) {
-  GAMEDB_RETURN_NOT_OK(Expect(d.kind == JsonValue::Kind::kObject,
-                              "diagnostic must be an object"));
-  const JsonValue* sev = d.Find("severity");
-  GAMEDB_RETURN_NOT_OK(Expect(
-      IsKind(sev, JsonValue::Kind::kString) &&
-          OneOf(sev->str, {"warning", "error"}),
-      "diagnostic.severity must be \"warning\" or \"error\""));
-  const JsonValue* pass = d.Find("pass");
-  GAMEDB_RETURN_NOT_OK(Expect(
-      IsKind(pass, JsonValue::Kind::kString) &&
-          OneOf(pass->str, {"structure", "phase", "bindings", "cost"}),
-      "diagnostic.pass must be a verifier pass token"));
-  GAMEDB_RETURN_NOT_OK(Expect(
-      IsKind(d.Find("line"), JsonValue::Kind::kNumber) &&
-          IsKind(d.Find("col"), JsonValue::Kind::kNumber),
-      "diagnostic.line/col must be numbers"));
-  return Expect(IsKind(d.Find("message"), JsonValue::Kind::kString),
-                "diagnostic.message must be a string");
-}
-
-Status ValidateEntry(const JsonValue& e) {
-  GAMEDB_RETURN_NOT_OK(
-      Expect(e.kind == JsonValue::Kind::kObject, "entry must be an object"));
-  GAMEDB_RETURN_NOT_OK(Expect(
-      IsKind(e.Find("name"), JsonValue::Kind::kString),
-      "entry.name must be a string"));
-  GAMEDB_RETURN_NOT_OK(Expect(
-      IsKind(e.Find("handler"), JsonValue::Kind::kBool),
-      "entry.handler must be a bool"));
-  GAMEDB_RETURN_NOT_OK(Expect(
-      IsKind(e.Find("effects"), JsonValue::Kind::kString),
-      "entry.effects must be a string"));
-  GAMEDB_RETURN_NOT_OK(Expect(
-      IsKind(e.Find("cost"), JsonValue::Kind::kNumber),
-      "entry.cost must be a number"));
-  for (const char* key :
-       {"cost_unbounded", "unknown_read", "unknown_write", "structural",
-        "radius_unbounded", "direct_write_eligible"}) {
-    GAMEDB_RETURN_NOT_OK(Expect(IsKind(e.Find(key), JsonValue::Kind::kBool),
-                                std::string("entry.") + key +
-                                    " must be a bool"));
-  }
-  GAMEDB_RETURN_NOT_OK(Expect(
-      IsKind(e.Find("radius"), JsonValue::Kind::kNumber),
-      "entry.radius must be a number"));
-  const JsonValue* reads = e.Find("reads");
-  GAMEDB_RETURN_NOT_OK(Expect(IsKind(reads, JsonValue::Kind::kArray),
-                              "entry.reads must be an array"));
-  for (const JsonValue& r : reads->items) {
-    GAMEDB_RETURN_NOT_OK(Expect(r.kind == JsonValue::Kind::kString,
-                                "entry.reads items must be strings"));
-  }
-  const JsonValue* writes = e.Find("writes");
-  GAMEDB_RETURN_NOT_OK(Expect(IsKind(writes, JsonValue::Kind::kArray),
-                              "entry.writes must be an array"));
-  for (const JsonValue& w : writes->items) {
-    GAMEDB_RETURN_NOT_OK(Expect(
-        w.kind == JsonValue::Kind::kObject &&
-            IsKind(w.Find("field"), JsonValue::Kind::kString),
-        "entry.writes items must be {field, target} objects"));
-    const JsonValue* target = w.Find("target");
-    GAMEDB_RETURN_NOT_OK(Expect(
-        IsKind(target, JsonValue::Kind::kString) &&
-            OneOf(target->str, {"self", "foreign", "self+foreign"}),
-        "entry.writes[].target must be self/foreign/self+foreign"));
-  }
-  const JsonValue* reason = e.Find("ineligible_reason");
-  return Expect(reason != nullptr &&
-                    (reason->kind == JsonValue::Kind::kNull ||
-                     reason->kind == JsonValue::Kind::kString),
-                "entry.ineligible_reason must be a string or null");
-}
-
-Status ValidateFile(const JsonValue& f) {
-  GAMEDB_RETURN_NOT_OK(
-      Expect(f.kind == JsonValue::Kind::kObject, "file must be an object"));
-  GAMEDB_RETURN_NOT_OK(Expect(
-      IsKind(f.Find("file"), JsonValue::Kind::kString),
-      "file.file must be a string"));
-  const JsonValue* phase = f.Find("phase");
-  GAMEDB_RETURN_NOT_OK(Expect(
-      IsKind(phase, JsonValue::Kind::kString) &&
-          OneOf(phase->str,
-                {"sequential", "parallel-defer", "parallel-reject"}),
-      "file.phase must be a phase context token"));
-  const JsonValue* cost = f.Find("static_cost");
-  GAMEDB_RETURN_NOT_OK(Expect(IsKind(cost, JsonValue::Kind::kObject),
-                              "file.static_cost must be an object"));
-  GAMEDB_RETURN_NOT_OK(Expect(
-      IsKind(cost->Find("total"), JsonValue::Kind::kNumber) &&
-          IsKind(cost->Find("max_entry_cost"), JsonValue::Kind::kNumber),
-      "file.static_cost total/max_entry_cost must be numbers"));
-  GAMEDB_RETURN_NOT_OK(Expect(
-      IsKind(cost->Find("unbounded"), JsonValue::Kind::kBool),
-      "file.static_cost.unbounded must be a bool"));
-  const JsonValue* max_entry = cost->Find("max_entry");
-  GAMEDB_RETURN_NOT_OK(
-      Expect(max_entry != nullptr &&
-                 (max_entry->kind == JsonValue::Kind::kNull ||
-                  max_entry->kind == JsonValue::Kind::kString),
-             "file.static_cost.max_entry must be a string or null"));
-  const JsonValue* parse_error = f.Find("parse_error");
-  GAMEDB_RETURN_NOT_OK(
-      Expect(parse_error != nullptr &&
-                 (parse_error->kind == JsonValue::Kind::kNull ||
-                  parse_error->kind == JsonValue::Kind::kString),
-             "file.parse_error must be a string or null"));
-  const JsonValue* diags = f.Find("diagnostics");
-  GAMEDB_RETURN_NOT_OK(Expect(IsKind(diags, JsonValue::Kind::kArray),
-                              "file.diagnostics must be an array"));
-  for (const JsonValue& d : diags->items) {
-    GAMEDB_RETURN_NOT_OK(ValidateDiagnostic(d));
-  }
-  const JsonValue* entries = f.Find("entries");
-  GAMEDB_RETURN_NOT_OK(Expect(IsKind(entries, JsonValue::Kind::kArray),
-                              "file.entries must be an array"));
-  for (const JsonValue& e : entries->items) {
-    GAMEDB_RETURN_NOT_OK(ValidateEntry(e));
-  }
-  const JsonValue* conflicts = f.Find("conflicts");
-  GAMEDB_RETURN_NOT_OK(Expect(IsKind(conflicts, JsonValue::Kind::kArray),
-                              "file.conflicts must be an array"));
-  for (const JsonValue& c : conflicts->items) {
-    GAMEDB_RETURN_NOT_OK(Expect(
-        c.kind == JsonValue::Kind::kObject &&
-            IsKind(c.Find("a"), JsonValue::Kind::kString) &&
-            IsKind(c.Find("b"), JsonValue::Kind::kString) &&
-            IsKind(c.Find("reason"), JsonValue::Kind::kString),
-        "file.conflicts items must be {a, b, reason} string objects"));
-  }
-  return Status::OK();
-}
+const Shape kStaticCost = json::Object({
+    {"total", &kAnyNumber}, {"unbounded", &kAnyBool},
+    {"max_entry", &kAnyString, Presence::kNullable},
+    {"max_entry_cost", &kAnyNumber},
+});
+const Shape kDiagnostic = json::Object({
+    {"severity", &kSeverity}, {"pass", &kPass},
+    {"line", &kAnyNumber}, {"col", &kAnyNumber},
+    {"message", &kAnyString},
+});
+const Shape kWrite =
+    json::Object({{"field", &kAnyString}, {"target", &kWriteTarget}});
+const Shape kReads = json::ArrayOf(&kAnyString);
+const Shape kWrites = json::ArrayOf(&kWrite);
+const Shape kEntry = json::Object({
+    {"name", &kAnyString}, {"handler", &kAnyBool},
+    {"effects", &kAnyString}, {"cost", &kAnyNumber},
+    {"cost_unbounded", &kAnyBool},
+    {"reads", &kReads}, {"writes", &kWrites},
+    {"unknown_read", &kAnyBool}, {"unknown_write", &kAnyBool},
+    {"structural", &kAnyBool},
+    {"radius", &kAnyNumber}, {"radius_unbounded", &kAnyBool},
+    {"direct_write_eligible", &kAnyBool},
+    {"ineligible_reason", &kAnyString, Presence::kNullable},
+});
+const Shape kConflict = json::Object(
+    {{"a", &kAnyString}, {"b", &kAnyString}, {"reason", &kAnyString}});
+const Shape kDiagnostics = json::ArrayOf(&kDiagnostic);
+const Shape kEntries = json::ArrayOf(&kEntry);
+const Shape kConflicts = json::ArrayOf(&kConflict);
+const Shape kFile = json::Object({
+    {"file", &kAnyString}, {"phase", &kPhase},
+    {"static_cost", &kStaticCost},
+    {"parse_error", &kAnyString, Presence::kNullable},
+    {"diagnostics", &kDiagnostics},
+    {"entries", &kEntries},
+    {"conflicts", &kConflicts},
+});
+const Shape kFiles = json::ArrayOf(&kFile);
+const Shape kLintDoc = json::Object({
+    {"schema", &kSchemaTag}, {"werror", &kAnyBool}, {"files", &kFiles},
+});
 
 }  // namespace
 
-Status ValidateLintJson(const std::string& json) {
-  JsonParser parser(json);
-  GAMEDB_ASSIGN_OR_RETURN(JsonValue root, parser.Parse());
-  GAMEDB_RETURN_NOT_OK(Expect(root.kind == JsonValue::Kind::kObject,
-                              "top level must be an object"));
-  const JsonValue* schema = root.Find("schema");
-  GAMEDB_RETURN_NOT_OK(Expect(
-      IsKind(schema, JsonValue::Kind::kString) &&
-          schema->str == "gamedb.gsl_lint.v1",
-      "schema must be \"gamedb.gsl_lint.v1\""));
-  GAMEDB_RETURN_NOT_OK(Expect(
-      IsKind(root.Find("werror"), JsonValue::Kind::kBool),
-      "werror must be a bool"));
-  const JsonValue* files = root.Find("files");
-  GAMEDB_RETURN_NOT_OK(Expect(IsKind(files, JsonValue::Kind::kArray),
-                              "files must be an array"));
-  for (const JsonValue& f : files->items) {
-    GAMEDB_RETURN_NOT_OK(ValidateFile(f));
-  }
-  return Status::OK();
+Status ValidateLintJson(const std::string& doc) {
+  GAMEDB_ASSIGN_OR_RETURN(json::JsonValue root, json::ParseJson(doc));
+  const std::string why = json::CheckShape(root, kLintDoc);
+  if (why.empty()) return Status::OK();
+  return Status::InvalidArgument("gsl_lint json schema violation: " + why);
 }
 
 }  // namespace gamedb::script

@@ -43,10 +43,10 @@ std::string RenderConflictDot(const std::string& origin,
 std::string RenderLintJson(const std::vector<LintFileResult>& files,
                            bool werror);
 
-/// Validates that `json` parses as JSON *and* conforms to the
+/// Validates that `doc` parses as JSON *and* conforms to the
 /// gamedb.gsl_lint.v1 shape (required keys, enum values, types). gsl_lint
 /// round-trips its own output through this before printing, so a schema
 /// regression fails in CI rather than in a consumer.
-Status ValidateLintJson(const std::string& json);
+Status ValidateLintJson(const std::string& doc);
 
 }  // namespace gamedb::script

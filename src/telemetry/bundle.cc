@@ -10,30 +10,6 @@ namespace gamedb::telemetry {
 
 namespace {
 
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 /// Integral doubles (counter deltas, ns durations, percentile estimates)
 /// print as integers; the rest keep six decimals.
 std::string Num(double v) {
@@ -46,12 +22,6 @@ std::string Num(double v) {
   } else {
     std::snprintf(buf, sizeof(buf), "0");
   }
-  return buf;
-}
-
-std::string Num3(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", std::isfinite(v) ? v : 0.0);
   return buf;
 }
 
@@ -83,8 +53,8 @@ std::string Indent(const std::string& doc, int pad) {
 }  // namespace
 
 std::string SloCheck::ToString() const {
-  std::string out = name + ": measured " + Num3(measured_ms) +
-                    " ms vs allowed " + Num3(target_ms) + " ms";
+  std::string out = name + ": measured " + json::Fixed3(measured_ms) +
+                    " ms vs allowed " + json::Fixed3(target_ms) + " ms";
   out += violated ? " [VIOLATED]" : " [ok]";
   return out;
 }
@@ -94,10 +64,13 @@ std::string RenderFlightRecorderBundle(const BundleInputs& inputs) {
   out += "  \"schema\": \"";
   out += kFlightRecSchema;
   out += "\",\n";
+  auto quoted = [&out](std::string_view s) { json::AppendQuoted(&out, s); };
 
-  out += "  \"trigger\": {\"reason\": \"" + Escape(inputs.reason) +
-         "\", \"tick\": " + std::to_string(inputs.tick) +
-         ", \"scenario\": \"" + Escape(inputs.scenario) + "\"},\n";
+  out += "  \"trigger\": {\"reason\": ";
+  quoted(inputs.reason);
+  out += ", \"tick\": " + std::to_string(inputs.tick) + ", \"scenario\": ";
+  quoted(inputs.scenario);
+  out += "},\n";
 
   out += "  \"rules\": [";
   bool first = true;
@@ -106,9 +79,12 @@ std::string RenderFlightRecorderBundle(const BundleInputs& inputs) {
       out += first ? "\n" : ",\n";
       first = false;
       const HealthRule& r = st.rule;
-      out += "    {\"name\": \"" + Escape(r.name) + "\"";
-      out += ", \"rendered\": \"" + Escape(r.ToString()) + "\"";
-      out += ", \"metric\": \"" + Escape(r.metric) + "\"";
+      out += "    {\"name\": ";
+      quoted(r.name);
+      out += ", \"rendered\": ";
+      quoted(r.ToString());
+      out += ", \"metric\": ";
+      quoted(r.metric);
       out += ", \"aggregation\": \"";
       out += AggregationName(r.aggregation);
       out += "\", \"window\": " + std::to_string(r.window);
@@ -137,12 +113,15 @@ std::string RenderFlightRecorderBundle(const BundleInputs& inputs) {
   for (const SloCheck& check : inputs.slo_checks) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    {\"name\": \"" + Escape(check.name) + "\"";
+    out += "    {\"name\": ";
+    quoted(check.name);
     out += ", \"target_ms\": " + Num(check.target_ms);
     out += ", \"measured_ms\": " + Num(check.measured_ms);
     out += ", \"violated\": ";
     out += check.violated ? "true" : "false";
-    out += ", \"rendered\": \"" + Escape(check.ToString()) + "\"}";
+    out += ", \"rendered\": ";
+    quoted(check.ToString());
+    out += "}";
   }
   out += first ? "],\n" : "\n  ],\n";
 
@@ -152,7 +131,8 @@ std::string RenderFlightRecorderBundle(const BundleInputs& inputs) {
     for (const FlightRecorder::Series& s : inputs.recorder->Snapshot()) {
       out += first ? "\n" : ",\n";
       first = false;
-      out += "    {\"name\": \"" + Escape(s.name) + "\"";
+      out += "    {\"name\": ";
+      quoted(s.name);
       out += ", \"kind\": \"";
       out += SeriesKindName(s.kind);
       out += "\", \"ticks\": [";
@@ -190,7 +170,8 @@ std::string RenderFlightRecorderBundle(const BundleInputs& inputs) {
     for (const TraceEvent& e : events) {
       out += first ? "\n" : ",\n";
       first = false;
-      out += "    {\"name\": \"" + Escape(e.name) + "\"";
+      out += "    {\"name\": ";
+      quoted(e.name);
       out += ", \"ts_ns\": " + std::to_string(e.ts_ns);
       out += ", \"dur_ns\": " + std::to_string(e.dur_ns);
       out += ", \"tid\": " + std::to_string(e.tid);
@@ -204,7 +185,8 @@ std::string RenderFlightRecorderBundle(const BundleInputs& inputs) {
   for (const std::string& plan : inputs.hot_plans) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + Escape(plan) + "\"";
+    out += "    ";
+    quoted(plan);
   }
   out += first ? "]\n" : "\n  ]\n";
 
@@ -214,195 +196,104 @@ std::string RenderFlightRecorderBundle(const BundleInputs& inputs) {
 
 namespace {
 
+using json::JsonValue;
+using json::kAnyBool;
+using json::kAnyNumber;
+using json::kAnyString;
+using json::Presence;
+using json::Shape;
+
+const Shape kSchemaTag = json::OneOf({kFlightRecSchema});
+const Shape kTrigger = json::Object({
+    {"reason", &kAnyString}, {"tick", &kAnyNumber},
+    {"scenario", &kAnyString},
+});
+const Shape kAggregation = json::OneOf({"last", "mean", "min", "max", "sum"});
+const Shape kOp = json::OneOf({"gt", "lt"});
+const Shape kSeverity = json::OneOf({"info", "warning", "critical"});
+const Shape kRule = json::Object({
+    {"name", &kAnyString}, {"rendered", &kAnyString},
+    {"metric", &kAnyString}, {"aggregation", &kAggregation},
+    {"window", &kAnyNumber}, {"op", &kOp},
+    {"threshold", &kAnyNumber}, {"severity", &kSeverity},
+    {"for_ticks", &kAnyNumber}, {"clear_ticks", &kAnyNumber},
+    {"evaluated", &kAnyBool}, {"tripped", &kAnyBool},
+    {"trip_count", &kAnyNumber}, {"tripped_tick", &kAnyNumber},
+    {"last_value", &kAnyNumber}, {"evaluations", &kAnyNumber},
+});
+const Shape kSlo = json::Object({
+    {"name", &kAnyString}, {"target_ms", &kAnyNumber},
+    {"measured_ms", &kAnyNumber}, {"violated", &kAnyBool},
+    {"rendered", &kAnyString},
+});
+const Shape kSeriesKind = json::OneOf({"counter_delta", "gauge", "hist_p50",
+                                       "hist_p99", "hist_p999", "hist_count"});
+const Shape kNumbers = json::ArrayOf(&kAnyNumber);
+const Shape kSeries = json::Object({
+    {"name", &kAnyString}, {"kind", &kSeriesKind},
+    {"ticks", &kNumbers}, {"values", &kNumbers},
+});
+// The embedded telemetry document is checked for its tag and sections
+// only; ValidateTelemetryJson owns its full shape.
+const Shape kTelemetryTag = json::OneOf({kTelemetrySchema});
+const Shape kMetrics = json::Object({
+    {"schema", &kTelemetryTag}, {"counters", &json::kAnyObject},
+    {"gauges", &json::kAnyObject}, {"histograms", &json::kAnyObject},
+});
+const Shape kTraceEvent = json::Object({
+    {"name", &kAnyString}, {"ts_ns", &kAnyNumber},
+    {"dur_ns", &kAnyNumber}, {"tid", &kAnyNumber},
+});
+const Shape kRules = json::ArrayOf(&kRule);
+const Shape kSlos = json::ArrayOf(&kSlo);
+const Shape kSeriesList = json::ArrayOf(&kSeries);
+const Shape kTrace = json::ArrayOf(&kTraceEvent);
+const Shape kPlans = json::ArrayOf(&kAnyString);
+const Shape kBundle = json::Object({
+    {"schema", &kSchemaTag},
+    {"trigger", &kTrigger},
+    {"rules", &kRules},
+    {"slo", &kSlos},
+    {"series", &kSeriesList},
+    {"metrics", &kMetrics, Presence::kNullable},
+    {"trace", &kTrace},
+    {"plans", &kPlans},
+});
+
 Status Fail(const std::string& what) {
   return Status::SchemaMismatch("flightrec bundle schema violation: " + what);
 }
 
-bool IsString(const json::JsonValue* v) {
-  return v != nullptr && v->Is(json::JsonValue::Kind::kString);
-}
-bool IsNumber(const json::JsonValue* v) {
-  return v != nullptr && v->Is(json::JsonValue::Kind::kNumber);
-}
-bool IsBool(const json::JsonValue* v) {
-  return v != nullptr && v->Is(json::JsonValue::Kind::kBool);
-}
-
-bool OneOf(const std::string& s, std::initializer_list<const char*> opts) {
-  for (const char* o : opts) {
-    if (s == o) return true;
-  }
-  return false;
-}
-
-Status ValidateRules(const json::JsonValue& rules) {
-  if (!rules.Is(json::JsonValue::Kind::kArray)) {
-    return Fail("rules is not an array");
-  }
-  for (size_t i = 0; i < rules.elements.size(); ++i) {
-    const json::JsonValue& r = rules.elements[i];
-    const std::string at = "rules[" + std::to_string(i) + "]";
-    if (!r.Is(json::JsonValue::Kind::kObject)) {
-      return Fail(at + " is not an object");
-    }
-    for (const char* f : {"name", "rendered", "metric"}) {
-      if (!IsString(r.Find(f))) {
-        return Fail(at + "." + f + " missing or not a string");
-      }
-    }
-    const json::JsonValue* agg = r.Find("aggregation");
-    if (!IsString(agg) ||
-        !OneOf(agg->str, {"last", "mean", "min", "max", "sum"})) {
-      return Fail(at + ".aggregation missing or not a known aggregation");
-    }
-    const json::JsonValue* op = r.Find("op");
-    if (!IsString(op) || !OneOf(op->str, {"gt", "lt"})) {
-      return Fail(at + ".op missing or not gt|lt");
-    }
-    const json::JsonValue* sev = r.Find("severity");
-    if (!IsString(sev) || !OneOf(sev->str, {"info", "warning", "critical"})) {
-      return Fail(at + ".severity missing or not a known severity");
-    }
-    for (const char* f : {"window", "threshold", "for_ticks", "clear_ticks",
-                          "trip_count", "tripped_tick", "last_value",
-                          "evaluations"}) {
-      if (!IsNumber(r.Find(f))) {
-        return Fail(at + "." + f + " missing or not a number");
-      }
-    }
-    for (const char* f : {"evaluated", "tripped"}) {
-      if (!IsBool(r.Find(f))) {
-        return Fail(at + "." + f + " missing or not a bool");
-      }
-    }
-    if (r.Find("window")->number < 1.0) {
-      return Fail(at + ".window must be >= 1");
-    }
+/// Fails naming `at.field` when that number is negative.
+Status NonNegative(const JsonValue& obj, const std::string& at,
+                   std::initializer_list<const char*> fields) {
+  for (const char* f : fields) {
+    if (obj.Find(f)->number < 0.0) return Fail(at + "." + f + " is negative");
   }
   return Status::OK();
 }
 
-Status ValidateSlo(const json::JsonValue& slo) {
-  if (!slo.Is(json::JsonValue::Kind::kArray)) {
-    return Fail("slo is not an array");
-  }
-  for (size_t i = 0; i < slo.elements.size(); ++i) {
-    const json::JsonValue& c = slo.elements[i];
-    const std::string at = "slo[" + std::to_string(i) + "]";
-    if (!c.Is(json::JsonValue::Kind::kObject)) {
-      return Fail(at + " is not an object");
-    }
-    if (!IsString(c.Find("name")) || !IsString(c.Find("rendered"))) {
-      return Fail(at + ".name/rendered missing or not strings");
-    }
-    for (const char* f : {"target_ms", "measured_ms"}) {
-      const json::JsonValue* v = c.Find(f);
-      if (!IsNumber(v) || v->number < 0.0) {
-        return Fail(at + "." + f + " missing or not a non-negative number");
-      }
-    }
-    if (!IsBool(c.Find("violated"))) {
-      return Fail(at + ".violated missing or not a bool");
-    }
-  }
-  return Status::OK();
-}
-
-Status ValidateSeries(const json::JsonValue& series) {
-  if (!series.Is(json::JsonValue::Kind::kArray)) {
-    return Fail("series is not an array");
-  }
-  std::string prev;
-  bool have_prev = false;
-  for (size_t i = 0; i < series.elements.size(); ++i) {
-    const json::JsonValue& s = series.elements[i];
+Status ValidateSeries(const std::vector<JsonValue>& series) {
+  for (size_t i = 0; i < series.size(); ++i) {
+    const JsonValue& s = series[i];
     const std::string at = "series[" + std::to_string(i) + "]";
-    if (!s.Is(json::JsonValue::Kind::kObject)) {
-      return Fail(at + " is not an object");
+    const std::string& name = s.Find("name")->str;
+    if (i > 0 && !(series[i - 1].Find("name")->str < name)) {
+      return Fail("series not sorted by name at '" + name + "'");
     }
-    const json::JsonValue* name = s.Find("name");
-    if (!IsString(name)) return Fail(at + ".name missing or not a string");
-    if (have_prev && !(prev < name->str)) {
-      return Fail("series not sorted by name at '" + name->str + "'");
-    }
-    prev = name->str;
-    have_prev = true;
-    const json::JsonValue* kind = s.Find("kind");
-    if (!IsString(kind) ||
-        !OneOf(kind->str, {"counter_delta", "gauge", "hist_p50", "hist_p99",
-                           "hist_p999", "hist_count"})) {
-      return Fail(at + ".kind missing or not a known series kind");
-    }
-    const json::JsonValue* ticks = s.Find("ticks");
-    const json::JsonValue* values = s.Find("values");
-    if (ticks == nullptr || !ticks->Is(json::JsonValue::Kind::kArray)) {
-      return Fail(at + ".ticks missing or not an array");
-    }
-    if (values == nullptr || !values->Is(json::JsonValue::Kind::kArray)) {
-      return Fail(at + ".values missing or not an array");
-    }
-    if (ticks->elements.size() != values->elements.size()) {
+    const std::vector<JsonValue>& ticks = s.Find("ticks")->elements;
+    if (ticks.size() != s.Find("values")->elements.size()) {
       return Fail(at + " ticks/values length mismatch");
     }
-    if (ticks->elements.empty()) {
+    if (ticks.empty()) {
       return Fail(at + " is empty (never-sampled series must be omitted)");
     }
-    double prev_tick = -1.0;
-    for (const json::JsonValue& t : ticks->elements) {
-      if (!t.Is(json::JsonValue::Kind::kNumber) || t.number < 0.0) {
-        return Fail(at + ".ticks entry not a non-negative number");
-      }
+    double prev_tick = 0.0;
+    for (const JsonValue& t : ticks) {
       if (t.number < prev_tick) {
-        return Fail(at + ".ticks not non-decreasing");
+        return Fail(at + ".ticks negative or not non-decreasing");
       }
       prev_tick = t.number;
-    }
-    for (const json::JsonValue& v : values->elements) {
-      if (!v.Is(json::JsonValue::Kind::kNumber)) {
-        return Fail(at + ".values entry not a number");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status ValidateMetrics(const json::JsonValue& metrics) {
-  if (metrics.Is(json::JsonValue::Kind::kNull)) return Status::OK();
-  if (!metrics.Is(json::JsonValue::Kind::kObject)) {
-    return Fail("metrics is not an object or null");
-  }
-  const json::JsonValue* schema = metrics.Find("schema");
-  if (!IsString(schema) || schema->str != kTelemetrySchema) {
-    return Fail("metrics.schema missing or not '" +
-                std::string(kTelemetrySchema) + "'");
-  }
-  for (const char* section : {"counters", "gauges", "histograms"}) {
-    const json::JsonValue* obj = metrics.Find(section);
-    if (obj == nullptr || !obj->Is(json::JsonValue::Kind::kObject)) {
-      return Fail(std::string("metrics.") + section + " is not an object");
-    }
-  }
-  return Status::OK();
-}
-
-Status ValidateTrace(const json::JsonValue& trace) {
-  if (!trace.Is(json::JsonValue::Kind::kArray)) {
-    return Fail("trace is not an array");
-  }
-  for (size_t i = 0; i < trace.elements.size(); ++i) {
-    const json::JsonValue& e = trace.elements[i];
-    const std::string at = "trace[" + std::to_string(i) + "]";
-    if (!e.Is(json::JsonValue::Kind::kObject)) {
-      return Fail(at + " is not an object");
-    }
-    if (!IsString(e.Find("name"))) {
-      return Fail(at + ".name missing or not a string");
-    }
-    for (const char* f : {"ts_ns", "dur_ns", "tid"}) {
-      const json::JsonValue* v = e.Find(f);
-      if (!IsNumber(v) || v->number < 0.0) {
-        return Fail(at + "." + f + " missing or not a non-negative number");
-      }
     }
   }
   return Status::OK();
@@ -411,61 +302,27 @@ Status ValidateTrace(const json::JsonValue& trace) {
 }  // namespace
 
 Status ValidateFlightRecorderBundle(const std::string& doc) {
-  Result<json::JsonValue> parsed = json::ParseJson(doc);
-  if (!parsed.ok()) return parsed.status();
-  const json::JsonValue& root = *parsed;
-  if (!root.Is(json::JsonValue::Kind::kObject)) {
-    return Fail("root is not an object");
-  }
-  const json::JsonValue* schema = root.Find("schema");
-  if (!IsString(schema)) return Fail("missing schema tag");
-  if (schema->str != kFlightRecSchema) {
-    return Fail("unexpected schema tag '" + schema->str + "'");
-  }
-
-  const json::JsonValue* trigger = root.Find("trigger");
-  if (trigger == nullptr || !trigger->Is(json::JsonValue::Kind::kObject)) {
-    return Fail("trigger is not an object");
-  }
-  if (!IsString(trigger->Find("reason"))) {
-    return Fail("trigger.reason missing or not a string");
-  }
-  if (!IsString(trigger->Find("scenario"))) {
-    return Fail("trigger.scenario missing or not a string");
-  }
-  const json::JsonValue* tick = trigger->Find("tick");
-  if (!IsNumber(tick) || tick->number < 0.0) {
-    return Fail("trigger.tick missing or not a non-negative number");
-  }
-
-  const json::JsonValue* rules = root.Find("rules");
-  if (rules == nullptr) return Fail("missing rules section");
-  GAMEDB_RETURN_NOT_OK(ValidateRules(*rules));
-
-  const json::JsonValue* slo = root.Find("slo");
-  if (slo == nullptr) return Fail("missing slo section");
-  GAMEDB_RETURN_NOT_OK(ValidateSlo(*slo));
-
-  const json::JsonValue* series = root.Find("series");
-  if (series == nullptr) return Fail("missing series section");
-  GAMEDB_RETURN_NOT_OK(ValidateSeries(*series));
-
-  const json::JsonValue* metrics = root.Find("metrics");
-  if (metrics == nullptr) return Fail("missing metrics section");
-  GAMEDB_RETURN_NOT_OK(ValidateMetrics(*metrics));
-
-  const json::JsonValue* trace = root.Find("trace");
-  if (trace == nullptr) return Fail("missing trace section");
-  GAMEDB_RETURN_NOT_OK(ValidateTrace(*trace));
-
-  const json::JsonValue* plans = root.Find("plans");
-  if (plans == nullptr || !plans->Is(json::JsonValue::Kind::kArray)) {
-    return Fail("plans is not an array");
-  }
-  for (size_t i = 0; i < plans->elements.size(); ++i) {
-    if (!plans->elements[i].Is(json::JsonValue::Kind::kString)) {
-      return Fail("plans[" + std::to_string(i) + "] is not a string");
+  GAMEDB_ASSIGN_OR_RETURN(JsonValue root, json::ParseJson(doc));
+  const std::string why = json::CheckShape(root, kBundle);
+  if (!why.empty()) return Fail(why);
+  GAMEDB_RETURN_NOT_OK(NonNegative(*root.Find("trigger"), "trigger", {"tick"}));
+  const std::vector<JsonValue>& rules = root.Find("rules")->elements;
+  for (size_t i = 0; i < rules.size(); ++i) {
+    if (rules[i].Find("window")->number < 1.0) {
+      return Fail("rules[" + std::to_string(i) + "].window must be >= 1");
     }
+  }
+  const std::vector<JsonValue>& slo = root.Find("slo")->elements;
+  for (size_t i = 0; i < slo.size(); ++i) {
+    GAMEDB_RETURN_NOT_OK(NonNegative(slo[i], "slo[" + std::to_string(i) + "]",
+                                     {"target_ms", "measured_ms"}));
+  }
+  GAMEDB_RETURN_NOT_OK(ValidateSeries(root.Find("series")->elements));
+  const std::vector<JsonValue>& trace = root.Find("trace")->elements;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    GAMEDB_RETURN_NOT_OK(NonNegative(trace[i],
+                                     "trace[" + std::to_string(i) + "]",
+                                     {"ts_ns", "dur_ns", "tid"}));
   }
   return Status::OK();
 }

@@ -1,46 +1,10 @@
 #include "telemetry/registry.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/json.h"
 
 namespace gamedb::telemetry {
-
-namespace {
-
-/// %.3f, matching the loadgen report's number formatting.
-std::string Num3(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
-
-std::string EscapeJsonString(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 uint64_t Histogram::Percentile(double p) const {
   // Relaxed snapshot of the buckets; rank logic mirrors
@@ -153,8 +117,9 @@ std::string RenderTelemetryJson(const MetricsRegistry& registry) {
   for (const auto& [name, value] : registry.CounterValues()) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + EscapeJsonString(name) +
-           "\": " + std::to_string(value);
+    out += "    ";
+    json::AppendQuoted(&out, name);
+    out += ": " + std::to_string(value);
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -163,8 +128,9 @@ std::string RenderTelemetryJson(const MetricsRegistry& registry) {
   for (const auto& [name, value] : registry.GaugeValues()) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + EscapeJsonString(name) +
-           "\": " + std::to_string(value);
+    out += "    ";
+    json::AppendQuoted(&out, name);
+    out += ": " + std::to_string(value);
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -173,11 +139,12 @@ std::string RenderTelemetryJson(const MetricsRegistry& registry) {
   for (const HistogramSummary& h : registry.HistogramValues()) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + EscapeJsonString(h.name) + "\": {";
-    out += "\"count\": " + std::to_string(h.count);
+    out += "    ";
+    json::AppendQuoted(&out, h.name);
+    out += ": {\"count\": " + std::to_string(h.count);
     out += ", \"min\": " + std::to_string(h.min);
     out += ", \"max\": " + std::to_string(h.max);
-    out += ", \"mean\": " + Num3(h.mean);
+    out += ", \"mean\": " + json::Fixed3(h.mean);
     out += ", \"p50\": " + std::to_string(h.p50);
     out += ", \"p99\": " + std::to_string(h.p99);
     out += ", \"p999\": " + std::to_string(h.p999);
@@ -191,77 +158,53 @@ std::string RenderTelemetryJson(const MetricsRegistry& registry) {
 
 namespace {
 
+using json::JsonValue;
+using json::kAnyNumber;
+using json::Shape;
+
+const Shape kSchemaTag = json::OneOf({kTelemetrySchema});
+const Shape kNumbers = json::MapOf(&kAnyNumber);
+const Shape kHistogram = json::Object({
+    {"count", &kAnyNumber}, {"min", &kAnyNumber}, {"max", &kAnyNumber},
+    {"mean", &kAnyNumber}, {"p50", &kAnyNumber}, {"p99", &kAnyNumber},
+    {"p999", &kAnyNumber},
+});
+const Shape kHistograms = json::MapOf(&kHistogram);
+const Shape kTelemetryDoc = json::Object({
+    {"schema", &kSchemaTag},
+    {"counters", &kNumbers},
+    {"gauges", &kNumbers},
+    {"histograms", &kHistograms},
+});
+
 Status SchemaFail(const std::string& what) {
   return Status::SchemaMismatch("telemetry json schema violation: " + what);
-}
-
-bool IsNonNegativeNumber(const json::JsonValue& v) {
-  return v.Is(json::JsonValue::Kind::kNumber) && v.number >= 0.0;
 }
 
 }  // namespace
 
 Status ValidateTelemetryJson(const std::string& doc) {
-  Result<json::JsonValue> parsed = json::ParseJson(doc);
-  if (!parsed.ok()) return parsed.status();
-  const json::JsonValue& root = *parsed;
-  if (!root.Is(json::JsonValue::Kind::kObject)) {
-    return SchemaFail("root is not an object");
-  }
-  const json::JsonValue* schema = root.Find("schema");
-  if (schema == nullptr || !schema->Is(json::JsonValue::Kind::kString)) {
-    return SchemaFail("missing schema tag");
-  }
-  if (schema->str != kTelemetrySchema) {
-    return SchemaFail("unexpected schema tag '" + schema->str + "'");
-  }
-  for (const char* section : {"counters", "gauges"}) {
-    const json::JsonValue* obj = root.Find(section);
-    if (obj == nullptr || !obj->Is(json::JsonValue::Kind::kObject)) {
-      return SchemaFail(std::string(section) + " is not an object");
-    }
-    std::string prev;
-    bool have_prev = false;
-    for (const auto& [name, value] : obj->members) {
-      if (!value.Is(json::JsonValue::Kind::kNumber)) {
-        return SchemaFail(std::string(section) + "." + name +
-                          " is not a number");
-      }
-      if (have_prev && !(prev < name)) {
+  GAMEDB_ASSIGN_OR_RETURN(JsonValue root, json::ParseJson(doc));
+  const std::string why = json::CheckShape(root, kTelemetryDoc);
+  if (!why.empty()) return SchemaFail(why);
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    const auto& members = root.Find(section)->members;
+    for (size_t i = 1; i < members.size(); ++i) {
+      if (!(members[i - 1].first < members[i].first)) {
         return SchemaFail(std::string(section) + " keys not sorted at '" +
-                          name + "'");
-      }
-      prev = name;
-      have_prev = true;
-    }
-  }
-  const json::JsonValue* hists = root.Find("histograms");
-  if (hists == nullptr || !hists->Is(json::JsonValue::Kind::kObject)) {
-    return SchemaFail("histograms is not an object");
-  }
-  std::string prev;
-  bool have_prev = false;
-  for (const auto& [name, h] : hists->members) {
-    if (!h.Is(json::JsonValue::Kind::kObject)) {
-      return SchemaFail("histograms." + name + " is not an object");
-    }
-    if (have_prev && !(prev < name)) {
-      return SchemaFail("histogram keys not sorted at '" + name + "'");
-    }
-    prev = name;
-    have_prev = true;
-    for (const char* field :
-         {"count", "min", "max", "mean", "p50", "p99", "p999"}) {
-      const json::JsonValue* v = h.Find(field);
-      if (v == nullptr || !IsNonNegativeNumber(*v)) {
-        return SchemaFail("histograms." + name + "." + field +
-                          " missing or not a non-negative number");
+                          members[i].first + "'");
       }
     }
-    const json::JsonValue* count = h.Find("count");
-    const json::JsonValue* minv = h.Find("min");
-    const json::JsonValue* maxv = h.Find("max");
-    if (count->number > 0.0 && minv->number > maxv->number) {
+  }
+  for (const auto& [name, h] : root.Find("histograms")->members) {
+    for (const json::Field& f : kHistogram.fields) {
+      if (h.Find(f.key)->number < 0.0) {
+        return SchemaFail("histograms." + name + "." + std::string(f.key) +
+                          " is negative");
+      }
+    }
+    if (h.Find("count")->number > 0.0 &&
+        h.Find("min")->number > h.Find("max")->number) {
       return SchemaFail("histograms." + name + " has min > max");
     }
   }

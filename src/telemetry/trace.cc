@@ -19,30 +19,6 @@ std::string Micros(uint64_t ns) {
   return buf;
 }
 
-std::string EscapeJsonString(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string RenderChromeTraceJson(const Tracer& tracer) {
@@ -61,7 +37,8 @@ std::string RenderChromeTraceJson(const Tracer& tracer) {
   for (const TraceEvent& e : events) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    {\"name\": \"" + EscapeJsonString(e.name) + "\"";
+    out += "    {\"name\": ";
+    json::AppendQuoted(&out, e.name);
     out += ", \"cat\": \"gamedb\"";
     out += ", \"ph\": \"X\"";
     out += ", \"ts\": " + Micros(e.ts_ns);
@@ -77,6 +54,19 @@ std::string RenderChromeTraceJson(const Tracer& tracer) {
 
 namespace {
 
+using json::JsonValue;
+using json::kAnyNumber;
+using json::Shape;
+
+const Shape kCompleteEvent = json::OneOf({"X"});
+const Shape kEvent = json::Object({
+    {"name", &json::kAnyString}, {"ph", &kCompleteEvent},
+    {"ts", &kAnyNumber}, {"dur", &kAnyNumber},
+    {"pid", &kAnyNumber}, {"tid", &kAnyNumber},
+});
+const Shape kEvents = json::ArrayOf(&kEvent);
+const Shape kTraceDoc = json::Object({{"traceEvents", &kEvents}});
+
 Status SchemaFail(const std::string& what) {
   return Status::SchemaMismatch("trace json schema violation: " + what);
 }
@@ -84,39 +74,18 @@ Status SchemaFail(const std::string& what) {
 }  // namespace
 
 Status ValidateChromeTraceJson(const std::string& doc) {
-  Result<json::JsonValue> parsed = json::ParseJson(doc);
-  if (!parsed.ok()) return parsed.status();
-  const json::JsonValue& root = *parsed;
-  if (!root.Is(json::JsonValue::Kind::kObject)) {
-    return SchemaFail("root is not an object");
-  }
-  const json::JsonValue* events = root.Find("traceEvents");
-  if (events == nullptr || !events->Is(json::JsonValue::Kind::kArray)) {
-    return SchemaFail("traceEvents missing or not an array");
-  }
-  size_t i = 0;
-  for (const json::JsonValue& e : events->elements) {
+  GAMEDB_ASSIGN_OR_RETURN(JsonValue root, json::ParseJson(doc));
+  const std::string why = json::CheckShape(root, kTraceDoc);
+  if (!why.empty()) return SchemaFail(why);
+  const std::vector<JsonValue>& events = root.Find("traceEvents")->elements;
+  for (size_t i = 0; i < events.size(); ++i) {
     const std::string at = "traceEvents[" + std::to_string(i) + "]";
-    ++i;
-    if (!e.Is(json::JsonValue::Kind::kObject)) {
-      return SchemaFail(at + " is not an object");
-    }
-    const json::JsonValue* name = e.Find("name");
-    if (name == nullptr || !name->Is(json::JsonValue::Kind::kString) ||
-        name->str.empty()) {
-      return SchemaFail(at + ".name missing or empty");
-    }
-    const json::JsonValue* ph = e.Find("ph");
-    if (ph == nullptr || !ph->Is(json::JsonValue::Kind::kString) ||
-        ph->str != "X") {
-      return SchemaFail(at + ".ph is not a complete-event \"X\"");
+    if (events[i].Find("name")->str.empty()) {
+      return SchemaFail(at + ".name is empty");
     }
     for (const char* field : {"ts", "dur", "pid", "tid"}) {
-      const json::JsonValue* v = e.Find(field);
-      if (v == nullptr || !v->Is(json::JsonValue::Kind::kNumber) ||
-          v->number < 0.0) {
-        return SchemaFail(at + "." + field +
-                          " missing or not a non-negative number");
+      if (events[i].Find(field)->number < 0.0) {
+        return SchemaFail(at + "." + field + " is negative");
       }
     }
   }

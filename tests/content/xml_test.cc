@@ -87,6 +87,38 @@ TEST(XmlTest, MalformedInputsRejected) {
   EXPECT_FALSE(ParseXml("<A x=\"unterminated/>").ok());
 }
 
+std::string Nested(int depth) {
+  std::string doc;
+  for (int i = 0; i < depth; ++i) doc += "<a>\n";
+  for (int i = 0; i < depth; ++i) doc += "</a>";
+  return doc;
+}
+
+TEST(XmlTest, DeepNestingRejectedWithLine) {
+  // Element parsing recurses once per level: without a bound this input
+  // overflows the stack.
+  auto r = ParseXml(Nested(100000));
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("line 257"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("deeper than 256"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_FALSE(ParseXml(Nested(257)).ok());
+}
+
+TEST(XmlTest, NestingUpToTheBoundParses) {
+  for (int depth : {200, 256}) {
+    auto root = MustParse(Nested(depth));
+    int levels = 1;
+    for (const XmlNode* n = root.get(); !n->children.empty();
+         n = n->children[0].get()) {
+      ++levels;
+    }
+    EXPECT_EQ(levels, depth);
+  }
+}
+
 TEST(XmlTest, ErrorsCarryLineNumbers) {
   auto r = ParseXml("<A>\n  <B>\n</A>");
   ASSERT_FALSE(r.ok());

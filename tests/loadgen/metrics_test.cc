@@ -102,6 +102,7 @@ TEST(MetricsValidateTest, RejectsGarbage) {
   EXPECT_FALSE(ValidateReportJson("{\"a\":1} trailing").ok());
   EXPECT_FALSE(ValidateReportJson("{\"a\":}").ok());
   EXPECT_FALSE(ValidateReportJson("{\"a\":\"unterminated").ok());
+  EXPECT_FALSE(ValidateReportJson(std::string(200000, '[')).ok());
 }
 
 TEST(MetricsValidateTest, RejectsWrongSchemaTag) {

@@ -759,6 +759,7 @@ TEST_F(VerifierTest, LintJsonRoundTripsThroughItsValidator) {
   wrong_tag.replace(at, 18, "gamedb.gsl_lint.v9");
   EXPECT_FALSE(ValidateLintJson(wrong_tag).ok());
   EXPECT_FALSE(ValidateLintJson("not json at all").ok());
+  EXPECT_FALSE(ValidateLintJson(std::string(200000, '[')).ok());
 }
 
 TEST_F(VerifierTest, AccessReportRendersMatrixForConflictingPack) {

@@ -1,12 +1,9 @@
 #include "loadgen/metrics.h"
 
-#include <cctype>
-#include <cstdio>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <vector>
 
+#include "common/json.h"
 #include "common/macros.h"
 
 namespace gamedb::loadgen {
@@ -14,37 +11,6 @@ namespace gamedb::loadgen {
 namespace {
 
 // --- Rendering --------------------------------------------------------------
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Fixed-precision double rendering: deterministic for identical values,
-/// never locale-dependent, never scientific notation.
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
 
 /// Streams `"key": value` pairs with fixed order and indentation.
 class ObjectWriter {
@@ -54,7 +20,7 @@ class ObjectWriter {
   }
   void Field(const char* key, const std::string& s) {
     Key(key);
-    *out_ += '"' + EscapeJson(s) + '"';
+    json::AppendQuoted(out_, s);
   }
   void Field(const char* key, uint64_t v) {
     Key(key);
@@ -62,7 +28,7 @@ class ObjectWriter {
   }
   void Field(const char* key, double v) {
     Key(key);
-    *out_ += FormatDouble(v);
+    *out_ += json::Fixed3(v);
   }
   void Field(const char* key, bool v) {
     Key(key);
@@ -101,214 +67,6 @@ void RenderSummary(ObjectWriter& w, const char* key,
     o.Field("max", s.max_ns);
     o.Field("mean", s.mean_ns);
   });
-}
-
-// --- Minimal JSON parser (validation only) ----------------------------------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<JsonValue> items;
-  /// Insertion order is irrelevant for validation; a map keeps lookup easy.
-  std::map<std::string, JsonValue> fields;
-
-  const JsonValue* Find(const std::string& key) const {
-    auto it = fields.find(key);
-    return it == fields.end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  Status Parse(JsonValue* out) {
-    GAMEDB_RETURN_NOT_OK(ParseValue(out));
-    SkipSpace();
-    if (pos_ != text_.size()) return Fail("trailing characters");
-    return Status::OK();
-  }
-
- private:
-  Status Fail(const std::string& what) {
-    return Status::InvalidArgument("json: " + what + " at offset " +
-                                   std::to_string(pos_));
-  }
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  Status ParseValue(JsonValue* out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->str);
-    }
-    if (c == 't' || c == 'f') return ParseLiteral(out);
-    if (c == 'n') return ParseLiteral(out);
-    return ParseNumber(out);
-  }
-  Status ParseObject(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
-    if (Consume('}')) return Status::OK();
-    while (true) {
-      SkipSpace();
-      std::string key;
-      GAMEDB_RETURN_NOT_OK(ParseString(&key));
-      if (!Consume(':')) return Fail("expected ':'");
-      JsonValue value;
-      GAMEDB_RETURN_NOT_OK(ParseValue(&value));
-      out->fields.emplace(std::move(key), std::move(value));
-      if (Consume(',')) continue;
-      if (Consume('}')) return Status::OK();
-      return Fail("expected ',' or '}'");
-    }
-  }
-  Status ParseArray(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    if (Consume(']')) return Status::OK();
-    while (true) {
-      JsonValue value;
-      GAMEDB_RETURN_NOT_OK(ParseValue(&value));
-      out->items.push_back(std::move(value));
-      if (Consume(',')) continue;
-      if (Consume(']')) return Status::OK();
-      return Fail("expected ',' or ']'");
-    }
-  }
-  Status ParseString(std::string* out) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return Fail("expected string");
-    }
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return Status::OK();
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        char e = text_[pos_++];
-        switch (e) {
-          case '"': *out += '"'; break;
-          case '\\': *out += '\\'; break;
-          case '/': *out += '/'; break;
-          case 'n': *out += '\n'; break;
-          case 't': *out += '\t'; break;
-          case 'r': *out += '\r'; break;
-          case 'b': *out += '\b'; break;
-          case 'f': *out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Fail("bad \\u escape");
-            // Validation never inspects escaped text; keep the raw form.
-            *out += "\\u" + text_.substr(pos_, 4);
-            pos_ += 4;
-            break;
-          }
-          default:
-            return Fail("bad escape");
-        }
-      } else {
-        *out += c;
-      }
-    }
-    return Fail("unterminated string");
-  }
-  Status ParseLiteral(JsonValue* out) {
-    auto match = [&](const char* word) {
-      size_t n = std::char_traits<char>::length(word);
-      if (text_.compare(pos_, n, word) == 0) {
-        pos_ += n;
-        return true;
-      }
-      return false;
-    };
-    if (match("true")) {
-      out->kind = JsonValue::Kind::kBool;
-      out->b = true;
-      return Status::OK();
-    }
-    if (match("false")) {
-      out->kind = JsonValue::Kind::kBool;
-      out->b = false;
-      return Status::OK();
-    }
-    if (match("null")) {
-      out->kind = JsonValue::Kind::kNull;
-      return Status::OK();
-    }
-    return Fail("bad literal");
-  }
-  Status ParseNumber(JsonValue* out) {
-    size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("expected value");
-    try {
-      out->num = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      return Fail("bad number");
-    }
-    out->kind = JsonValue::Kind::kNumber;
-    return Status::OK();
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-// --- Schema checks ----------------------------------------------------------
-
-Status Require(const JsonValue& obj, const char* section, const char* key,
-               JsonValue::Kind kind) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) {
-    return Status::InvalidArgument(std::string("schema: missing ") + section +
-                                   "." + key);
-  }
-  if (v->kind != kind) {
-    return Status::InvalidArgument(std::string("schema: wrong type for ") +
-                                   section + "." + key);
-  }
-  return Status::OK();
-}
-
-Status CheckSummary(const JsonValue& timing, const char* key) {
-  const JsonValue* s = timing.Find(key);
-  if (s == nullptr || s->kind != JsonValue::Kind::kObject) {
-    return Status::InvalidArgument(std::string("schema: missing timing.") +
-                                   key);
-  }
-  for (const char* field : {"count", "p50", "p99", "p999", "max", "mean"}) {
-    GAMEDB_RETURN_NOT_OK(Require(*s, key, field, JsonValue::Kind::kNumber));
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -409,99 +167,77 @@ Result<std::string> WriteReportFile(const ScenarioReport& report,
   return path;
 }
 
-Status ValidateReportJson(const std::string& json) {
-  JsonValue root;
-  GAMEDB_RETURN_NOT_OK(JsonParser(json).Parse(&root));
-  if (root.kind != JsonValue::Kind::kObject) {
-    return Status::InvalidArgument("schema: top level must be an object");
-  }
-  const JsonValue* schema = root.Find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString) {
-    return Status::InvalidArgument("schema: missing schema tag");
-  }
-  if (schema->str != kReportSchema) {
-    return Status::InvalidArgument("schema: unknown schema '" + schema->str +
-                                   "'");
-  }
+namespace {
 
-  const JsonValue* config = root.Find("config");
-  if (config == nullptr || config->kind != JsonValue::Kind::kObject) {
-    return Status::InvalidArgument("schema: missing config object");
-  }
-  GAMEDB_RETURN_NOT_OK(
-      Require(*config, "config", "scenario", JsonValue::Kind::kString));
-  for (const char* key : {"clients", "npcs", "ticks", "seed"}) {
-    GAMEDB_RETURN_NOT_OK(
-        Require(*config, "config", key, JsonValue::Kind::kNumber));
-  }
-  // `threads` is omitted from replay-mode reports (see RenderReportJson).
-  const JsonValue* threads = config->Find("threads");
-  if (threads != nullptr && threads->kind != JsonValue::Kind::kNumber) {
-    return Status::InvalidArgument("schema: wrong type for config.threads");
-  }
-  GAMEDB_RETURN_NOT_OK(
-      Require(*config, "config", "planner", JsonValue::Kind::kString));
-  GAMEDB_RETURN_NOT_OK(Require(*config, "config", "collect_timing",
-                               JsonValue::Kind::kBool));
+using json::kAnyBool;
+using json::kAnyNumber;
+using json::kAnyString;
+using json::Presence;
+using json::Shape;
 
-  const JsonValue* det = root.Find("deterministic");
-  if (det == nullptr || det->kind != JsonValue::Kind::kObject) {
-    return Status::InvalidArgument("schema: missing deterministic object");
-  }
-  GAMEDB_RETURN_NOT_OK(Require(*det, "deterministic", "world_hash",
-                               JsonValue::Kind::kString));
-  for (const char* key :
-       {"final_entities", "peak_entities", "logins", "logouts", "spawns",
-        "despawns", "deaths", "sync_bytes_total", "sync_rows_total",
-        "sync_removals_total", "client_ticks", "sync_bytes_per_client_tick",
-        "script_errors", "effect_contributions", "deferred_ops",
-        "view_rounds", "view_change_records", "wounded_final",
-        "critical_final", "checkpoints", "wal_records", "recovery_tick"}) {
-    GAMEDB_RETURN_NOT_OK(
-        Require(*det, "deterministic", key, JsonValue::Kind::kNumber));
-  }
+const Shape kSchemaTag = json::OneOf({kReportSchema});
+const Shape kConfig = json::Object({
+    {"scenario", &kAnyString},
+    {"clients", &kAnyNumber}, {"npcs", &kAnyNumber},
+    {"ticks", &kAnyNumber}, {"seed", &kAnyNumber},
+    // Omitted from replay-mode reports (see RenderReportJson).
+    {"threads", &kAnyNumber, Presence::kOptional},
+    {"planner", &kAnyString},
+    {"collect_timing", &kAnyBool},
+});
 
-  const JsonValue* timing = root.Find("timing");
-  const JsonValue* collect = config->Find("collect_timing");
-  if (collect != nullptr && collect->b) {
-    if (timing == nullptr || timing->kind != JsonValue::Kind::kObject) {
-      return Status::InvalidArgument(
-          "schema: collect_timing=true but no timing object");
-    }
-  }
-  if (timing != nullptr) {
-    if (timing->kind != JsonValue::Kind::kObject) {
-      return Status::InvalidArgument("schema: timing must be an object");
-    }
-    for (const char* key : {"tick_ns", "script_phase_ns", "view_maintain_ns",
-                            "sync_phase_ns", "persist_phase_ns"}) {
-      GAMEDB_RETURN_NOT_OK(CheckSummary(*timing, key));
-    }
-    const JsonValue* slo = timing->Find("slo");
-    if (slo == nullptr || slo->kind != JsonValue::Kind::kObject) {
-      return Status::InvalidArgument("schema: missing timing.slo");
-    }
-    GAMEDB_RETURN_NOT_OK(
-        Require(*slo, "timing.slo", "evaluated", JsonValue::Kind::kBool));
-    GAMEDB_RETURN_NOT_OK(
-        Require(*slo, "timing.slo", "violated", JsonValue::Kind::kBool));
-    const JsonValue* checks = slo->Find("checks");
-    if (checks == nullptr || checks->kind != JsonValue::Kind::kObject) {
-      return Status::InvalidArgument("schema: missing timing.slo.checks");
-    }
-    for (const auto& [name, check] : checks->fields) {
-      if (check.kind != JsonValue::Kind::kObject) {
-        return Status::InvalidArgument("schema: timing.slo.checks." + name +
-                                       " must be an object");
-      }
-      const std::string at = "timing.slo.checks." + name;
-      GAMEDB_RETURN_NOT_OK(
-          Require(check, at.c_str(), "target_ms", JsonValue::Kind::kNumber));
-      GAMEDB_RETURN_NOT_OK(
-          Require(check, at.c_str(), "measured_ms", JsonValue::Kind::kNumber));
-      GAMEDB_RETURN_NOT_OK(
-          Require(check, at.c_str(), "violated", JsonValue::Kind::kBool));
-    }
+const Shape kDeterministic = json::Object({
+    {"world_hash", &kAnyString},
+    {"final_entities", &kAnyNumber}, {"peak_entities", &kAnyNumber},
+    {"logins", &kAnyNumber}, {"logouts", &kAnyNumber},
+    {"spawns", &kAnyNumber}, {"despawns", &kAnyNumber},
+    {"deaths", &kAnyNumber}, {"sync_bytes_total", &kAnyNumber},
+    {"sync_rows_total", &kAnyNumber}, {"sync_removals_total", &kAnyNumber},
+    {"client_ticks", &kAnyNumber}, {"sync_bytes_per_client_tick", &kAnyNumber},
+    {"script_errors", &kAnyNumber}, {"effect_contributions", &kAnyNumber},
+    {"deferred_ops", &kAnyNumber}, {"view_rounds", &kAnyNumber},
+    {"view_change_records", &kAnyNumber}, {"wounded_final", &kAnyNumber},
+    {"critical_final", &kAnyNumber}, {"checkpoints", &kAnyNumber},
+    {"wal_records", &kAnyNumber}, {"recovery_tick", &kAnyNumber},
+});
+const Shape kSummary = json::Object({
+    {"count", &kAnyNumber}, {"p50", &kAnyNumber}, {"p99", &kAnyNumber},
+    {"p999", &kAnyNumber}, {"max", &kAnyNumber}, {"mean", &kAnyNumber},
+});
+const Shape kSloCheck = json::Object({
+    {"target_ms", &kAnyNumber}, {"measured_ms", &kAnyNumber},
+    {"violated", &kAnyBool},
+});
+const Shape kSloChecks = json::MapOf(&kSloCheck);
+const Shape kSlo = json::Object({
+    {"evaluated", &kAnyBool}, {"violated", &kAnyBool},
+    {"checks", &kSloChecks},
+});
+const Shape kTiming = json::Object({
+    {"tick_ns", &kSummary},
+    {"script_phase_ns", &kSummary},
+    {"view_maintain_ns", &kSummary},
+    {"sync_phase_ns", &kSummary},
+    {"persist_phase_ns", &kSummary},
+    {"slo", &kSlo},
+});
+const Shape kReport = json::Object({
+    {"schema", &kSchemaTag},
+    {"config", &kConfig},
+    {"deterministic", &kDeterministic},
+    {"timing", &kTiming, Presence::kOptional},
+});
+
+}  // namespace
+
+Status ValidateReportJson(const std::string& doc) {
+  GAMEDB_ASSIGN_OR_RETURN(json::JsonValue root, json::ParseJson(doc));
+  const std::string why = json::CheckShape(root, kReport);
+  if (!why.empty()) return Status::InvalidArgument("schema: " + why);
+  if (root.Find("config")->Find("collect_timing")->boolean &&
+      root.Find("timing") == nullptr) {
+    return Status::InvalidArgument(
+        "schema: collect_timing=true but no timing object");
   }
   return Status::OK();
 }
